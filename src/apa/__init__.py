@@ -2,7 +2,7 @@
 admissibility semantics, and temporal queries over the induced transition
 system."""
 
-from .dynamics import ALL, LTS, SelectorFamily, reachable, successors
+from .dynamics import ALL, LTS, SelectorFamily, reachable
 from .errors import ApaError
 from .fileformat import parse_framework, print_framework
 from .model import APAFramework, PersuasionAct, State, framework
@@ -25,6 +25,5 @@ __all__ = [
     "parse_framework",
     "print_framework",
     "reachable",
-    "successors",
     "__version__",
 ]

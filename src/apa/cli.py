@@ -47,9 +47,12 @@ def parse_sigma_spec(spec: str) -> SelectorFamily:
     return SelectorFamily(tuple(refsets))
 
 
-def _load(path: str) -> APAFramework:
-    with open(path, encoding="utf-8") as handle:
-        return parse_framework(handle.read())
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ApaError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _state_doc(fw: APAFramework, state: State) -> list[str]:
@@ -63,7 +66,7 @@ def _sigma_label(lts: dynamics.LTS, selector: int) -> str:
 
 
 def cmd_states(args, out) -> int:
-    fw = _load(args.file)
+    fw = parse_framework(_read(args.file))
     lts = dynamics.reachable(fw, parse_sigma_spec(args.sigma), args.max_states)
     if args.json:
         doc = {
@@ -90,7 +93,7 @@ def cmd_states(args, out) -> int:
 
 
 def cmd_transitions(args, out) -> int:
-    fw = _load(args.file)
+    fw = parse_framework(_read(args.file))
     lts = dynamics.reachable(fw, parse_sigma_spec(args.sigma), args.max_states)
     if args.json:
         doc = {
@@ -121,7 +124,7 @@ def cmd_transitions(args, out) -> int:
 
 
 def cmd_semantics(args, out) -> int:
-    fw = _load(args.file)
+    fw = parse_framework(_read(args.file))
     members = [t for t in args.state.replace(",", " ").split() if t]
     unknown = [t for t in members if t not in fw.arguments]
     if unknown:
@@ -142,9 +145,8 @@ def cmd_semantics(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
-    fw = _load(args.file)
-    with open(args.query, encoding="utf-8") as handle:
-        query = ctl.parse_query(handle.read())
+    fw = parse_framework(_read(args.file))
+    query = ctl.parse_query(_read(args.query))
     result = ctl.check(fw, query, args.max_states, args.max_args)
     if args.json:
         witness = None
@@ -169,7 +171,7 @@ def cmd_check(args, out) -> int:
 
 
 def cmd_dot(args, out) -> int:
-    fw = _load(args.file)
+    fw = parse_framework(_read(args.file))
     lts = dynamics.reachable(fw, parse_sigma_spec(args.sigma), args.max_states)
     out.write(export_dot(lts, args.annotate))
     return 0
@@ -197,9 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-states", type=int,
                        default=dynamics.DEFAULT_MAX_STATES,
                        help="override the reachable-state bound")
-        p.add_argument("--max-args", type=int,
-                       default=semantics.DEFAULT_MAX_ENUM_ARGS,
-                       help="override the extension-enumeration bound")
+        if not sigma:  # semantics and check; dot --annotate keeps the default
+            p.add_argument("--max-args", type=int,
+                           default=semantics.DEFAULT_MAX_ENUM_ARGS,
+                           help="override the extension-enumeration bound")
 
     p = sub.add_parser("states", help="list reachable states")
     common(p, sigma=True)
@@ -235,11 +238,12 @@ def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for bound in ("max_states", "max_args"):
+            if getattr(args, bound, 0) < 0:
+                option = "--" + bound.replace("_", "-")
+                raise ApaError(f"{option} must not be negative")
         return args.func(args, out)
-    except ApaError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except OSError as exc:
+    except (ApaError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 

@@ -36,6 +36,10 @@ RESERVED = {
     "set", "formula", "true", "false", "in", "sem", "visible", "exact",
     "A", "E", *UNARY_TEMPORAL,
 }
+#: Deepest formula the parser accepts. The AST is processed recursively
+#: (hashing, labeling, printing), so depth must stay well below Python's
+#: recursion limit.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +205,7 @@ class _Parser:
         self.pos = 0
         self.sets: dict[str, frozenset[str]] = {}
         self.implicit: list[str] = []
+        self.depth = 0
 
     # -- token plumbing ---------------------------------------------------
 
@@ -238,6 +243,8 @@ class _Parser:
         formula = self.parse_formula()
         if self.cur.kind != "eof":
             self.error(f"trailing input {self.cur.text!r}")
+        if _height(formula) > MAX_NESTING:
+            self.error(f"formula nested more than {MAX_NESTING} levels deep")
         return Query(
             sets=tuple(sorted(self.sets.items())),
             formula=formula,
@@ -288,11 +295,14 @@ class _Parser:
     # -- formulas ---------------------------------------------------------
 
     def parse_formula(self) -> Formula:
-        left = self.parse_or()
-        if self.cur.kind == "arrow":
+        operands = [self.parse_or()]
+        while self.cur.kind == "arrow":
             self.advance()
-            return Implies(left, self.parse_formula())  # right-assoc
-        return left
+            operands.append(self.parse_or())
+        node = operands.pop()
+        while operands:  # right-assoc
+            node = Implies(operands.pop(), node)
+        return node
 
     def parse_or(self) -> Formula:
         node = self.parse_and()
@@ -309,6 +319,15 @@ class _Parser:
         return node
 
     def parse_unary(self) -> Formula:
+        # every recursion of the parser passes through here
+        if self.depth == MAX_NESTING:
+            self.error(f"formula nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
+        node = self.parse_unary_body()
+        self.depth -= 1
+        return node
+
+    def parse_unary_body(self) -> Formula:
         tok = self.cur
         if self.at("!"):
             self.advance()
@@ -413,13 +432,18 @@ def parse_query(text: str) -> Query:
     return _Parser(text).parse_query()
 
 
-def parse_formula(text: str, sets: dict[str, frozenset[str]] | None = None) -> Query:
-    """Parse a bare formula with the given set bindings already in scope."""
-    parser = _Parser("formula: " + text)
-    if sets:
-        parser.sets.update(sets)
-    query = parser.parse_query()
-    return query
+def _height(node: Formula) -> int:
+    """Height of a formula tree, measured without recursion."""
+    height = 0
+    stack = [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        height = max(height, depth)
+        for attr in ("sub", "left", "right"):
+            child = getattr(node, attr, None)
+            if isinstance(child, Formula):
+                stack.append((child, depth + 1))
+    return height
 
 
 # ---------------------------------------------------------------------------
@@ -471,18 +495,13 @@ def print_formula(node: Formula, query: Query) -> str:
             # right-assoc: parenthesize a left implication, keep the right
             return f"{wrap(n.left, 1)} -> {wrap(n.right, 0)}"
         if isinstance(n, Temporal):
-            return f"{n.op}{_print_sigma(n.sigma)} {wrap(n.sub, 3)}"
+            return f"{n.op}{n.sigma} {wrap(n.sub, 3)}"
         if isinstance(n, Until):
             return (
-                f"{n.quant}{_print_sigma(n.sigma)}"
+                f"{n.quant}{n.sigma}"
                 f"[{render(n.left)} U {render(n.right)}]"
             )
         raise TypeError(f"not a formula node: {n!r}")
-
-    def _print_sigma(sigma: Sigma) -> str:
-        if sigma.is_wildcard:
-            return "{*}"
-        return "{" + ",".join(sigma.names) + "}"
 
     return render(node)
 
@@ -525,9 +544,6 @@ class Labeling:
 
     def holds_at(self, node: Formula, state: State) -> bool:
         return state in self.sat[node]
-
-    def states_of(self, node: Formula) -> frozenset[State]:
-        return self.sat[node]
 
 
 def _resolve_sets(fw: APAFramework, query: Query) -> dict[str, frozenset[str]]:

@@ -8,7 +8,7 @@ across runs: states, edges and attributes are emitted in canonical order.
 from __future__ import annotations
 
 from .dynamics import LTS
-from .semantics import LABELS
+from .semantics import LABELS, extensions
 
 
 def export_dot(lts: LTS, annotate_extensions: str | None = None) -> str:
@@ -18,8 +18,6 @@ def export_dot(lts: LTS, annotate_extensions: str | None = None) -> str:
     lists that label's extensions at the state (needs enumeration; only
     use at desk scale).
     """
-    from . import semantics  # local import keeps plain export cheap
-
     if annotate_extensions is not None and annotate_extensions not in LABELS:
         raise ValueError(f"unknown semantics label: {annotate_extensions!r}")
 
@@ -31,7 +29,7 @@ def export_dot(lts: LTS, annotate_extensions: str | None = None) -> str:
     for state in lts.states:
         label = fw.format_set(state.visible)
         if annotate_extensions is not None:
-            exts = semantics.extensions(fw, annotate_extensions, state)
+            exts = extensions(fw, annotate_extensions, state)
             ext_text = " ".join(fw.format_set(e) for e in exts)
             label = f"{label}\\n{annotate_extensions}: {ext_text}"
         attrs = [f'label="{label}"']

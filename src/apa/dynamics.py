@@ -14,13 +14,11 @@ import functools
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import EmptyGamma, TooLarge
+from .errors import TooLarge
 from .model import APAFramework, PersuasionAct, State
 
 #: Hard ceiling on explicit state enumeration (overridable per call).
 DEFAULT_MAX_STATES = 4096
-
-RefSet = frozenset  # reference sets are plain frozensets of argument ids
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,11 @@ ALL = SelectorFamily.wildcard()
 
 @dataclass(frozen=True)
 class LTS:
-    """Reachable states plus transitions labeled by selector index."""
+    """Reachable states plus transitions labeled by selector index.
+
+    `tables[i]` maps every state to its successors under selector `i`;
+    `edges` and `deadlocks` are derived from the tables.
+    """
 
     framework: APAFramework
     family: SelectorFamily
@@ -69,15 +71,11 @@ class LTS:
     edges: tuple[tuple[State, int, State], ...]
     initial: State
     deadlocks: frozenset[State]
+    tables: tuple[dict[State, frozenset[State]], ...]
 
-    def successors_of(self, state: State, selector_ids=None) -> frozenset[State]:
-        """Successor states of `state`, optionally restricted to a set of
-        selector indices."""
-        return frozenset(
-            t
-            for (s, i, t) in self.edges
-            if s == state and (selector_ids is None or i in selector_ids)
-        )
+    def successors_of(self, state: State, selector_ids) -> frozenset[State]:
+        """Successor states of `state` under the given selector indices."""
+        return frozenset().union(*(self.tables[i][state] for i in selector_ids))
 
 
 def possible_acts(
@@ -98,53 +96,30 @@ def possible_acts(
     )
 
 
-def neg_set(state: State, gamma: frozenset[PersuasionAct]) -> frozenset[str]:
-    """Visible arguments converted away by `gamma` (triggers of convert
-    acts whose source is visible)."""
-    visible = state.visible
-    return frozenset(
-        act.trigger
-        for act in gamma
-        if act.trigger is not None
-        and act.trigger in visible
-        and act.source in visible
-    )
-
-
-def pos_set(state: State, gamma: frozenset[PersuasionAct]) -> frozenset[str]:
-    """Arguments made visible by `gamma`: every act target. Targets range
-    over all declared arguments, not just the currently visible ones;
-    otherwise nothing invisible could ever appear."""
-    return frozenset(act.target for act in gamma)
-
-
-def apply_acts(state: State, gamma: frozenset[PersuasionAct]) -> State:
-    """The successor state of firing the nonempty act set `gamma`."""
-    if not gamma:
-        raise EmptyGamma("a transition needs at least one act")
-    visible = (state.visible - neg_set(state, gamma)) | pos_set(state, gamma)
-    return State(visible)
-
-
-def successors(
-    fw: APAFramework, refset: frozenset[str], state: State
-) -> frozenset[tuple[frozenset[PersuasionAct], State]]:
-    """All (act subset, successor) pairs at `state` under `refset`: one
-    entry per nonempty subset of the possible acts."""
-    acts = sorted(possible_acts(fw, refset, state), key=lambda a: a.sort_token)
-    out = set()
-    for mask in range(1, 1 << len(acts)):
-        gamma = frozenset(a for i, a in enumerate(acts) if mask >> i & 1)
-        out.add((gamma, apply_acts(state, gamma)))
-    return frozenset(out)
-
-
 @functools.lru_cache(maxsize=None)
 def successor_states(
     fw: APAFramework, refset: frozenset[str], state: State
 ) -> frozenset[State]:
-    """Deduplicated successor states (memoized; all inputs immutable)."""
-    return frozenset(t for (_, t) in successors(fw, refset, state))
+    """Distinct successor states of `state` under `refset` (memoized; all
+    inputs immutable).
+
+    The possible acts are folded in one at a time over the effects of the
+    act subsets seen so far, keyed (dropped - added, added). Subsets with
+    the same key lead to the same state whatever acts join them later, so
+    the keys are deduplicated after each act. Only the empty subset has
+    the key (empty, empty), since every act adds its target.
+    """
+    none = frozenset()
+    effects = {(none, none)}
+    for act in possible_acts(fw, refset, state):
+        dropped = none if act.trigger is None else frozenset([act.trigger])
+        target = frozenset([act.target])
+        effects |= {
+            ((d | dropped) - (a | target), a | target) for d, a in effects
+        }
+    effects.discard((none, none))
+    visible = state.visible
+    return frozenset(State((visible - d) | a) for d, a in effects)
 
 
 def reachable(
@@ -163,12 +138,12 @@ def reachable(
     init = fw.initial_state
     seen = {init}
     queue = deque([init])
-    edges: set[tuple[State, int, State]] = set()
+    tables = tuple({} for _ in selectors)
     while queue:
         state = queue.popleft()
-        for idx, refset in enumerate(selectors):
-            for succ in successor_states(fw, refset, state):
-                edges.add((state, idx, succ))
+        for refset, table in zip(selectors, tables):
+            table[state] = succs = successor_states(fw, refset, state)
+            for succ in succs:
                 if succ not in seen:
                     if len(seen) >= max_states:
                         raise TooLarge(
@@ -177,8 +152,12 @@ def reachable(
                     seen.add(succ)
                     queue.append(succ)
     states = tuple(sorted(seen, key=fw.state_key))
-    sources = {s for (s, _, _) in edges}
-    deadlocks = frozenset(s for s in states if s not in sources)
+    edges = [
+        (s, idx, t)
+        for idx, table in enumerate(tables)
+        for s, succs in table.items()
+        for t in succs
+    ]
     edge_key = lambda e: (fw.state_key(e[0]), e[1], fw.state_key(e[2]))
     return LTS(
         framework=fw,
@@ -186,5 +165,8 @@ def reachable(
         states=states,
         edges=tuple(sorted(edges, key=edge_key)),
         initial=init,
-        deadlocks=deadlocks,
+        deadlocks=frozenset(
+            s for s in states if not any(table[s] for table in tables)
+        ),
+        tables=tables,
     )

@@ -44,12 +44,9 @@ class ValidationError(ApaError):
         super().__init__("\n".join(str(i) for i in issues))
 
 
-class EmptyGamma(ApaError):
-    """A transition was requested with an empty set of acts."""
-
-
 class TooLarge(ApaError):
-    """An enumeration bound was exceeded (see the --force-* CLI flags)."""
+    """An enumeration bound was exceeded (see the --max-states and
+    --max-args CLI options)."""
 
 
 class QuerySyntaxError(ApaError):

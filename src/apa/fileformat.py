@@ -40,10 +40,14 @@ def parse_framework(text: str) -> APAFramework:
         section, _, rest = line.partition(":")
         section = section.strip()
         rest = rest.strip()
-        if section == "arguments":
-            arguments += [(tok, lineno) for tok in rest.split()]
-        elif section == "initial":
-            initial += [(tok, lineno) for tok in rest.split()]
+        if section in ("arguments", "initial"):
+            names = arguments if section == "arguments" else initial
+            for tok in rest.split():
+                if not re.fullmatch(_NAME, tok):
+                    raise QuerySyntaxError(
+                        f"bad argument name {tok!r}", lineno, 1
+                    )
+                names.append((tok, lineno))
         elif section == "attack":
             if not rest:
                 continue

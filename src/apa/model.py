@@ -45,11 +45,6 @@ class PersuasionAct:
     def is_convert(self) -> bool:
         return self.trigger is not None
 
-    @property
-    def sort_token(self) -> tuple[str, str, str]:
-        """Deterministic ordering key (the empty trigger sorts first)."""
-        return (self.source, self.trigger or "", self.target)
-
     def __str__(self) -> str:
         if self.is_induce:
             return f"{self.source} => {self.target}"
@@ -65,9 +60,6 @@ class State:
     """
 
     visible: frozenset[str]
-
-    def __contains__(self, arg: str) -> bool:
-        return arg in self.visible
 
 
 @dataclass(frozen=True)
@@ -127,11 +119,6 @@ class APAFramework:
 
     def format_set(self, args: Iterable[str]) -> str:
         return "{" + ",".join(self.sort_args(args)) + "}"
-
-
-def induced_state(fw: APAFramework, visible: Iterable[str]) -> State:
-    """The state whose visible set is `visible` (attacks are derived)."""
-    return fw.state(visible)
 
 
 def validate(

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 from itertools import combinations
 
-from . import dynamics
 from .errors import TooLarge
 from .model import APAFramework, State
 
@@ -40,11 +39,15 @@ def defends(fw: APAFramework, candidate: frozenset[str], arg: str, state: State)
         if not any((h, attacker) in fw.attacks for h in helpers):
             return False
     # no elimination: no transition screened by the candidate itself may
-    # drop the argument
-    for succ in dynamics.successor_states(fw, candidate, state):
-        if arg not in succ.visible:
-            return False
-    return True
+    # drop the argument. Firing a possible convert act (s, arg, t) with
+    # t != arg alone drops it, and every transition that drops it fires one.
+    return not any(
+        act.trigger == arg
+        and act.target != arg
+        and act.source in state.visible
+        and not any((h, act.source) in fw.attacks for h in helpers)
+        for act in fw.persuasions
+    )
 
 
 def is_defended(fw: APAFramework, candidate: frozenset[str], state: State) -> bool:

@@ -105,6 +105,7 @@ def test_c03_semantics_inclusion_chain():
                 st = set(semantics.extensions(fw, "st", state))
                 assert st <= pr <= co <= ad, (seed, state)
                 assert co, (seed, state)
+                assert semantics.grounded_set(fw, state) in co, (seed, state)
 
 
 def test_c04_temporal_laws():

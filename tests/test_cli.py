@@ -159,3 +159,44 @@ def test_bound_override(tmp_path):
     assert code == 1 and "error:" in err
     code, out, _ = run(["states", str(path)])
     assert code == 0 and len(out.splitlines()) == 128
+
+
+# -- error paths -------------------------------------------------------------
+
+
+def test_non_utf8_files_exit_1(elma_file, tmp_path):
+    bad = tmp_path / "latin1.apa"
+    bad.write_bytes(b"arguments: caf\xe9\n")
+    code, _, err = run(["states", str(bad)])
+    assert code == 1 and err.startswith("error:") and "UTF-8" in err
+    q = tmp_path / "latin1.q"
+    q.write_bytes(b"formula: visible(caf\xe9)\n")
+    code, _, err = run(["check", elma_file, str(q)])
+    assert code == 1 and err.startswith("error:") and "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["states", "--max-states", "-1"],
+        ["check", "--max-states", "-1"],
+        ["semantics", "--state", "a2", "--which", "ad", "--max-args", "-1"],
+        ["check", "--max-args", "-5"],
+    ],
+)
+def test_negative_bounds_rejected(argv, elma_file, tmp_path):
+    if argv[0] == "check":
+        q = tmp_path / "q.q"
+        q.write_text(QUERY_TRUE)
+        argv = [argv[0], elma_file, str(q)] + argv[1:]
+    else:
+        argv = [argv[0], elma_file] + argv[1:]
+    code, out, err = run(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --max-") and "negative" in err
+
+
+@pytest.mark.parametrize("command", ["states", "transitions", "dot"])
+def test_max_args_only_where_extensions_are_enumerated(command, elma_file):
+    with pytest.raises(SystemExit):
+        run([command, elma_file, "--max-args", "3"])

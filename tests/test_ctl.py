@@ -80,6 +80,28 @@ def test_syntax_error_carries_position():
     assert excinfo.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "!" * 5000 + "true",
+        "(" * 3000 + "true" + ")" * 3000,
+        " & ".join(["true"] * 5000),
+        " -> ".join(["true"] * 5000),
+    ],
+    ids=["negations", "parentheses", "conjunctions", "implications"],
+)
+def test_nesting_bound(text):
+    with pytest.raises(QuerySyntaxError, match="nested more than"):
+        parse_query("formula: " + text)
+
+
+def test_nesting_bound_admits_its_limit():
+    text = "formula: " + "!" * (ctl.MAX_NESTING - 1) + "true\n"
+    query = parse_query(text)
+    assert print_query(query) == text
+    check(framework(["a"]), query)
+
+
 def test_unknown_set_name():
     with pytest.raises(UnknownName):
         parse_query("formula: in(a, Missing)")

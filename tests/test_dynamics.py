@@ -6,15 +6,11 @@ from apa import dynamics
 from apa.dynamics import (
     ALL,
     SelectorFamily,
-    apply_acts,
-    neg_set,
-    pos_set,
     possible_acts,
     reachable,
     successor_states,
-    successors,
 )
-from apa.errors import EmptyGamma, TooLarge
+from apa.errors import TooLarge
 from apa.model import PersuasionAct, State, framework
 from apa.oracle import RandomInstanceSpec, random_framework
 
@@ -60,64 +56,62 @@ def test_possible_acts_antitone_blocking(oscillator, elma):
             assert possible_acts(fw, big, state) <= possible_acts(fw, small, state)
 
 
-# -- neg / pos / apply -------------------------------------------------------
+# -- successor_states --------------------------------------------------------
+
+OFFSET = framework(["a1"], persuasions=[("a1", "a1", "a1")], initial=["a1"])
+SELF_INDUCE = framework(["a1"], persuasions=[("a1", None, "a1")], initial=["a1"])
 
 
 def test_neg_set_elma(elma):
-    assert neg_set(elma.initial_state, frozenset([ELMA_ACT])) == {"a4"}
+    # the convert act drops its trigger a4
+    (succ,) = successor_states(elma, frozenset(), elma.initial_state)
+    assert elma.initial_state.visible - succ.visible == {"a4"}
 
 
 def test_neg_set_induce_only():
-    state = State(frozenset(["a1"]))
-    gamma = frozenset([PersuasionAct("a1", None, "a2")])
-    assert neg_set(state, gamma) == frozenset()
-    assert neg_set(state, frozenset()) == frozenset()
+    # an induce act drops nothing
+    fw = framework(["a1", "a2"], persuasions=[("a1", None, "a2")], initial=["a1"])
+    (succ,) = successor_states(fw, frozenset(), fw.initial_state)
+    assert fw.initial_state.visible - succ.visible == frozenset()
+    # without a possible act there is no step at all
+    assert successor_states(fw, frozenset(), fw.state(["a2"])) == frozenset()
 
 
 def test_pos_set_elma(elma):
-    assert pos_set(elma.initial_state, frozenset([ELMA_ACT])) == {"a5"}
-    assert pos_set(elma.initial_state, frozenset()) == frozenset()
+    # the convert act adds its target a5; blocked by {a2}, nothing is added
+    (succ,) = successor_states(elma, frozenset(), elma.initial_state)
+    assert succ.visible - elma.initial_state.visible == {"a5"}
+    assert successor_states(elma, frozenset(["a2"]), elma.initial_state) == frozenset()
 
 
 def test_pos_set_visible_target():
-    state = State(frozenset(["a1"]))
-    gamma = frozenset([PersuasionAct("a1", None, "a1")])
-    assert pos_set(state, gamma) == {"a1"}
-
-
-def test_apply_elma(elma):
-    succ = apply_acts(elma.initial_state, frozenset([ELMA_ACT]))
-    assert succ.visible == {"a2", "a3", "a5"}
-
-
-def test_apply_offset():
-    state = State(frozenset(["a1"]))
-    succ = apply_acts(state, frozenset([PersuasionAct("a1", "a1", "a1")]))
+    # an induce act whose target is already visible leaves the state as is
+    (succ,) = successor_states(SELF_INDUCE, frozenset(), SELF_INDUCE.initial_state)
     assert succ.visible == {"a1"}
 
 
-def test_apply_simultaneous(oscillator):
-    gamma = frozenset(
-        [PersuasionAct("a1", "a2", "a4"), PersuasionAct("a2", "a1", "a3")]
-    )
-    succ = apply_acts(State(frozenset(["a1", "a2"])), gamma)
-    assert succ.visible == {"a3", "a4"}
+def test_apply_elma(elma):
+    (succ,) = successor_states(elma, frozenset(), elma.initial_state)
+    assert succ.visible == {"a2", "a3", "a5"}
 
 
-def test_apply_empty_gamma_rejected(elma):
-    with pytest.raises(EmptyGamma):
-        apply_acts(elma.initial_state, frozenset())
-
-
-# -- successors --------------------------------------------------------------
-
-
-def test_successors_elma(elma):
-    out = successors(elma, frozenset(), elma.initial_state)
-    assert out == {
-        (frozenset([ELMA_ACT]), State(frozenset(["a2", "a3", "a5"])))
-    }
-    assert successors(elma, frozenset(["a2"]), elma.initial_state) == frozenset()
+@pytest.mark.parametrize(
+    "fw, refset, expected",
+    [
+        # a2 blocks the source a3 of the convert act
+        ("elma", {"a2"}, []),
+        # dropping and re-adding the same argument offsets
+        (OFFSET, set(), [{"a1"}]),
+        # both converts fire at once, or either one alone
+        ("oscillator", set(), [{"a3", "a4"}, {"a1", "a4"}, {"a2", "a3"}]),
+    ],
+    ids=["elma-blocked", "offset", "oscillator-step"],
+)
+def test_successor_states(request, fw, refset, expected):
+    if isinstance(fw, str):
+        fw = request.getfixturevalue(fw)
+    succ = successor_states(fw, frozenset(refset), fw.initial_state)
+    assert visible_sets(succ) == {frozenset(v) for v in expected}
 
 
 def test_successors_alice_three_branches(alice):
@@ -138,24 +132,24 @@ def test_successors_count_bound():
         state = fw.initial_state
         refset = frozenset(a for a in fw.arguments if rng.random() < 0.3)
         acts = possible_acts(fw, refset, state)
-        assert len(successors(fw, refset, state)) <= 2 ** len(acts) - 1
+        assert len(successor_states(fw, refset, state)) <= 2 ** len(acts) - 1
 
 
 def test_successor_visibility_accounting():
-    # every visible argument of a successor either survived or is a target;
-    # every dropped argument was converted away and not regenerated
+    # every visible argument of a successor either survived or is the
+    # target of a possible act; every dropped argument is the trigger of a
+    # possible convert act
     for seed in range(30):
         fw = random_framework(
             RandomInstanceSpec(n_args=5, n_induce=1, n_convert=3, seed=seed)
         )
         state = fw.initial_state
-        for gamma, succ in successors(fw, frozenset(), state):
-            neg = neg_set(state, gamma)
-            pos = pos_set(state, gamma)
-            for a in succ.visible:
-                assert (a in state.visible and a not in neg) or a in pos
-            for a in state.visible - succ.visible:
-                assert a in neg and a not in pos
+        acts = possible_acts(fw, frozenset(), state)
+        targets = {act.target for act in acts}
+        triggers = {act.trigger for act in acts}
+        for succ in successor_states(fw, frozenset(), state):
+            assert succ.visible <= state.visible | targets
+            assert state.visible - succ.visible <= triggers
 
 
 # -- reachable ---------------------------------------------------------------

@@ -110,3 +110,13 @@ def test_dot_deterministic(oscillator):
 def test_dot_annotated(elma):
     dot = export_dot(reachable(elma, ALL), "gr")
     assert "gr: {a2,a4}" in dot
+
+
+@pytest.mark.parametrize("token", ["a,b", "{c}", "x-y"])
+def test_parse_bad_argument_name(token):
+    with pytest.raises(QuerySyntaxError) as excinfo:
+        parse_framework(f"arguments: a\narguments: {token}\n")
+    assert excinfo.value.line == 2
+    with pytest.raises(QuerySyntaxError) as excinfo:
+        parse_framework(f"arguments: a\n\ninitial: a {token}\n")
+    assert excinfo.value.line == 3

@@ -6,7 +6,7 @@ from apa.errors import (
     UndeclaredArgument,
     ValidationError,
 )
-from apa.model import PersuasionAct, State, framework, induced_state
+from apa.model import PersuasionAct, State, framework
 
 
 def test_elma_framework_valid(elma):
@@ -48,24 +48,24 @@ def test_epsilon_cannot_be_declared():
 
 
 def test_induced_state_elma(elma):
-    state = induced_state(elma, ["a2", "a3", "a4"])
+    state = elma.state(["a2", "a3", "a4"])
     assert elma.induced_attacks(state) == {("a2", "a3")}
 
 
 def test_induced_state_alice(alice):
-    state = induced_state(alice, ["a1", "a2", "a3"])
+    state = alice.state(["a1", "a2", "a3"])
     assert alice.induced_attacks(state) == frozenset()
 
 
 def test_induced_state_empty(elma):
-    state = induced_state(elma, [])
+    state = elma.state([])
     assert state.visible == frozenset()
     assert elma.induced_attacks(state) == frozenset()
 
 
 def test_induced_state_idempotent(elma):
-    state = induced_state(elma, ["a2", "a5"])
-    assert induced_state(elma, state.visible) == state
+    state = elma.state(["a2", "a5"])
+    assert elma.state(state.visible) == state
 
 
 def test_attackers_of(elma):

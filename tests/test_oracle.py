@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from apa import ctl, dynamics
+from apa import ctl, dynamics, semantics
+from apa.dynamics import ALL, reachable
 from apa.errors import TooLarge
 from apa.model import framework
 from apa.oracle import (
@@ -69,6 +71,42 @@ def test_engine_agrees_with_bruteforce_seed42():
         state = fw.state(a for a in fw.arguments if rng.random() < 0.5)
         assert dynamics.successor_states(fw, refset, state) == \
             successors_bruteforce(fw, refset, state)
+
+
+def test_fold_and_elimination_agree_with_bruteforce():
+    # at every reachable state of 200 instances with 6-12 acts (the
+    # oracle's cap is 12), under the empty and a random reference set: the
+    # fold yields the oracle's successors, and `defends` finds an argument
+    # eliminable exactly when some oracle successor drops it
+    rng = random.Random(5)
+    instances = decisive = 0
+    for seed in itertools.count(80000):
+        fw = random_framework(
+            RandomInstanceSpec(
+                n_args=4 + seed % 6, n_induce=2 + seed % 5,
+                n_convert=4 + seed % 4, seed=seed,
+            )
+        )
+        if not 6 <= len(fw.persuasions) <= 12:
+            continue
+        for state in reachable(fw, ALL).states:
+            for refset in (frozenset(), random_refset(rng, fw)):
+                succ = successors_bruteforce(fw, refset, state)
+                assert dynamics.successor_states(fw, refset, state) == succ
+                helpers = refset & state.visible
+                for arg in state.visible:
+                    answered = all(
+                        any((h, b) in fw.attacks for h in helpers)
+                        for b in fw.attackers_of(state, arg)
+                    )
+                    kept = all(arg in t.visible for t in succ)
+                    decisive += answered and not kept
+                    assert semantics.defends(fw, refset, arg, state) == \
+                        (answered and kept), (seed, state, refset, arg)
+        instances += 1
+        if instances == 200:
+            break
+    assert decisive > 100
 
 
 # -- bounded_path_eval -------------------------------------------------------
