@@ -47,6 +47,17 @@ def parse_sigma_spec(spec: str) -> SelectorFamily:
     return SelectorFamily(tuple(refsets))
 
 
+def _sigma_family(fw: APAFramework, spec: str) -> SelectorFamily:
+    """The `--sigma` family, with every name checked against `fw`."""
+    family = parse_sigma_spec(spec)
+    unknown = set().union(*family.effective) - set(fw.arguments)
+    if unknown:
+        raise ApaError(
+            f"unknown arguments in --sigma: {', '.join(sorted(unknown))}"
+        )
+    return family
+
+
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -67,7 +78,7 @@ def _sigma_label(lts: dynamics.LTS, selector: int) -> str:
 
 def cmd_states(args, out) -> int:
     fw = parse_framework(_read(args.file))
-    lts = dynamics.reachable(fw, parse_sigma_spec(args.sigma), args.max_states)
+    lts = dynamics.reachable(fw, _sigma_family(fw, args.sigma), args.max_states)
     if args.json:
         doc = {
             "states": [
@@ -94,7 +105,7 @@ def cmd_states(args, out) -> int:
 
 def cmd_transitions(args, out) -> int:
     fw = parse_framework(_read(args.file))
-    lts = dynamics.reachable(fw, parse_sigma_spec(args.sigma), args.max_states)
+    lts = dynamics.reachable(fw, _sigma_family(fw, args.sigma), args.max_states)
     if args.json:
         doc = {
             "edges": [
@@ -172,13 +183,22 @@ def cmd_check(args, out) -> int:
 
 def cmd_dot(args, out) -> int:
     fw = parse_framework(_read(args.file))
-    lts = dynamics.reachable(fw, parse_sigma_spec(args.sigma), args.max_states)
+    lts = dynamics.reachable(fw, _sigma_family(fw, args.sigma), args.max_states)
     out.write(export_dot(lts, args.annotate))
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as `ApaError`, so they exit 1 through `main`
+    like every other error (status 2 means a false verdict). Subparsers
+    inherit the class."""
+
+    def error(self, message: str):
+        raise ApaError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="apa",
         description="Persuasion-dynamics argumentation: state enumeration, "
         "per-state semantics and temporal queries.",
@@ -235,9 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for bound in ("max_states", "max_args"):
             if getattr(args, bound, 0) < 0:
                 option = "--" + bound.replace("_", "-")

@@ -754,18 +754,14 @@ class CheckResult:
     labeling: Labeling
 
 
-def _succ_sorted(engine_succ: frozenset[State], fw: APAFramework) -> list[State]:
-    return sorted(engine_succ, key=fw.state_key)
-
-
 def _extend_to_lasso(
-    path: list[State], succ, fw: APAFramework, within: frozenset[State] | None = None
+    path: list[State], succ, within: frozenset[State] | None = None
 ) -> Lasso:
     """Extend `path` along canonical successors until a state repeats."""
     seen = {s: i for i, s in enumerate(path)}
     current = path[-1]
     while True:
-        choices = _succ_sorted(succ(current), fw)
+        choices = succ(current)
         if within is not None:
             choices = [c for c in choices if c in within]
         nxt = choices[0]
@@ -781,34 +777,40 @@ def _witness_path(
     engine: _Engine, labeling: Labeling, node: Formula
 ) -> Lasso | None:
     """A lasso justifying a true existential / refuting a false universal
-    top-level temporal formula. Universal operators are witnessed through
-    their existential duals."""
-    fw = engine.fw
+    top-level temporal formula. The counterexample of a universal operator
+    is the witness of its existential dual on complemented sets: AX, AF, AG
+    are refuted by EX, EG, EF of the complement, and A[l U r] by
+    E[!r U (!l & !r)], else by EG !r."""
+    if isinstance(node, Temporal):
+        existential = node.op.startswith("E")
+    elif isinstance(node, Until):
+        existential = node.quant == "E"
+    else:
+        return None
     init = labeling.lts.initial
     sat = labeling.sat
+    if (init in sat[node]) != existential:
+        return None
+    everywhere = engine.states
+    sigma = node.sigma
+    state_key = engine.fw.state_key
+    succ = lambda s: sorted(engine.successors(sigma, s), key=state_key)
 
-    def states_of(n: Formula) -> frozenset[State]:
-        if n in sat:
-            return sat[n]
-        order: list[Formula] = []
-        _subformulas(n, order)
-        for sub in order:
-            if sub not in sat:
-                sat[sub] = engine.eval_node(sub, sat)
-        return sat[n]
-
-    def bfs_to(sigma: Sigma, targets: frozenset[State], through: frozenset[State]):
-        """Shortest selector-path from init to a target, passing through
-        `through`-states before arrival; None when unreachable."""
+    def reach(
+        targets: frozenset[State], through: frozenset[State]
+    ) -> Lasso | None:
+        """A lasso starting with the shortest selector-path from init to a
+        target that passes through `through`-states before arrival; None
+        when no target is reachable that way."""
         if init in targets:
-            return [init]
+            return _extend_to_lasso([init], succ)
         if init not in through:
             return None
         parent = {init: None}
         queue = deque([init])
         while queue:
             s = queue.popleft()
-            for t in _succ_sorted(engine.successors(sigma, s), fw):
+            for t in succ(s):
                 if t in parent:
                     continue
                 parent[t] = s
@@ -816,64 +818,34 @@ def _witness_path(
                     path = [t]
                     while path[-1] is not init:
                         path.append(parent[path[-1]])
-                    return list(reversed(path))
+                    return _extend_to_lasso(path[::-1], succ)
                 if t in through:
                     queue.append(t)
         return None
 
-    def lasso_for(n: Formula) -> Lasso | None:
-        everywhere = engine.states
-        if isinstance(n, Temporal):
-            sigma, sub = n.sigma, n.sub
-            succ = lambda s: engine.successors(sigma, s)
-            if n.op == "EX":
-                target = states_of(sub)
-                step = [t for t in _succ_sorted(succ(init), fw) if t in target]
-                if not step:
-                    return None
-                return _extend_to_lasso([init, step[0]], succ, fw)
-            if n.op == "EF":
-                path = bfs_to(sigma, states_of(sub), everywhere)
-                return None if path is None else _extend_to_lasso(path, succ, fw)
-            if n.op == "EG":
-                good = engine.eg(sigma, states_of(sub))
-                if init not in good:
-                    return None
-                return _extend_to_lasso([init], succ, fw, within=good)
-            # universal duals
-            if n.op == "AX":
-                return lasso_for(Temporal("EX", sigma, Not(sub)))
-            if n.op == "AF":
-                return lasso_for(Temporal("EG", sigma, Not(sub)))
-            if n.op == "AG":
-                return lasso_for(Temporal("EF", sigma, Not(sub)))
-        if isinstance(n, Until):
-            sigma = n.sigma
-            succ = lambda s: engine.successors(sigma, s)
-            if n.quant == "E":
-                path = bfs_to(sigma, states_of(n.right), states_of(n.left))
-                return None if path is None else _extend_to_lasso(path, succ, fw)
-            # !A[l U r] == E[!r U (!l & !r)] | EG !r
-            not_l = Not(n.left)
-            not_r = Not(n.right)
-            lasso = lasso_for(Until("E", sigma, not_r, And(not_l, not_r)))
-            if lasso is not None:
-                return lasso
-            return lasso_for(Temporal("EG", sigma, not_r))
-        return None
+    def ex(target: frozenset[State]) -> Lasso | None:
+        step = [t for t in succ(init) if t in target]
+        return _extend_to_lasso([init, step[0]], succ) if step else None
 
-    node_true = init in sat[node]
-    if isinstance(node, Temporal):
-        existential = node.op.startswith("E")
-    elif isinstance(node, Until):
-        existential = node.quant == "E"
-    else:
-        return None
-    if existential and node_true:
-        return lasso_for(node)
-    if not existential and not node_true:
-        return lasso_for(node)
-    return None
+    def ef(target: frozenset[State]) -> Lasso | None:
+        return reach(target, everywhere)
+
+    def eg(target: frozenset[State]) -> Lasso | None:
+        good = engine.eg(sigma, target)
+        if init not in good:
+            return None
+        return _extend_to_lasso([init], succ, within=good)
+
+    if isinstance(node, Until):
+        left, right = sat[node.left], sat[node.right]
+        if existential:
+            return reach(right, left)
+        not_l, not_r = everywhere - left, everywhere - right
+        return reach(not_l & not_r, not_r) or eg(not_r)
+    sub = sat[node.sub]
+    if existential:
+        return {"EX": ex, "EF": ef, "EG": eg}[node.op](sub)
+    return {"AX": ex, "AF": eg, "AG": ef}[node.op](everywhere - sub)
 
 
 def check(

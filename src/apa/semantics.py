@@ -7,12 +7,21 @@ a member is counter-attacked by a visible candidate member, and no
 transition screened by the candidate itself can make the member invisible
 (no elimination). Complete / preferred / stable / grounded refine this in
 the usual way, with completeness closure restricted to visible arguments.
+
+Both parts of defence are monotone in the candidate, so Dung's fundamental
+lemma carries over: the grounded set is the least fixpoint of
+R -> {visible a : R defends a}, reached by iteration from the empty set
+without enumeration, and a stable set is an admissible set attacking every
+visible non-member (such a set is maximal admissible, hence preferred).
+`holds` is the one definition of each label; `extensions` filters the
+candidates through it. Listing the `ad`/`co`/`pr`/`st` extensions and
+testing `pr` enumerate the 2^|V| visible subsets, bounded by `max_args`.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import combinations
+import itertools
 
 from .errors import TooLarge
 from .model import APAFramework, State
@@ -84,12 +93,18 @@ def is_complete(fw: APAFramework, candidate: frozenset[str], state: State) -> bo
     )
 
 
-def _check_enum_bound(state: State, max_args: int) -> None:
+def _visible_subsets(fw: APAFramework, state: State, max_args: int):
+    """Every subset of the visible arguments, in canonical order (by size,
+    then declaration order); the one place that enumerates them."""
     if len(state.visible) > max_args:
         raise TooLarge(
             f"{len(state.visible)} visible arguments exceed the enumeration "
             f"bound of {max_args}"
         )
+    vis = fw.sort_args(state.visible)
+    for r in range(len(vis) + 1):
+        for combo in itertools.combinations(vis, r):
+            yield frozenset(combo)
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,51 +113,25 @@ def complete_sets(
 ) -> tuple[frozenset[str], ...]:
     """All complete sets at `state`, in canonical order, by enumeration of
     the subsets of the visible arguments (properness makes this total)."""
-    _check_enum_bound(state, max_args)
-    vis = fw.sort_args(state.visible)
-    found = []
-    for r in range(len(vis) + 1):
-        for combo in combinations(vis, r):
-            cand = frozenset(combo)
-            if is_complete(fw, cand, state):
-                found.append(cand)
-    return tuple(found)
+    return tuple(
+        c for c in _visible_subsets(fw, state, max_args)
+        if is_complete(fw, c, state)
+    )
 
 
-def grounded_set(
-    fw: APAFramework, state: State, max_args: int = DEFAULT_MAX_ENUM_ARGS
-) -> frozenset[str]:
-    """Intersection of all complete sets at `state` (at least one exists)."""
-    sets = complete_sets(fw, state, max_args)
-    if not sets:  # unreachable in theory; safeguard for the empty state
-        return frozenset()
-    out = set(sets[0])
-    for s in sets[1:]:
-        out &= s
-    return frozenset(out)
-
-
-def is_preferred(
-    fw: APAFramework, candidate: frozenset[str], state: State,
-    max_args: int = DEFAULT_MAX_ENUM_ARGS,
-) -> bool:
-    """Complete with no complete strict superset."""
-    if not is_complete(fw, candidate, state):
-        return False
-    return not any(candidate < c for c in complete_sets(fw, state, max_args))
-
-
-def is_stable(
-    fw: APAFramework, candidate: frozenset[str], state: State,
-    max_args: int = DEFAULT_MAX_ENUM_ARGS,
-) -> bool:
-    """Preferred and attacking every visible non-member."""
-    if not is_preferred(fw, candidate, state, max_args):
-        return False
-    for other in state.visible - candidate:
-        if not any((c, other) in fw.attacks for c in candidate):
-            return False
-    return True
+@functools.lru_cache(maxsize=None)
+def grounded_set(fw: APAFramework, state: State) -> frozenset[str]:
+    """The least fixpoint of R -> {visible a : R defends a}, iterated from
+    the empty set. Each iterate is admissible, so the fixpoint is the least
+    complete set, the intersection of all complete sets at `state`. Cached
+    per state like `complete_sets`, since `sem(gr, X)` atoms ask for it at
+    every state once per candidate set X."""
+    grounded = frozenset()
+    while True:
+        nxt = frozenset(a for a in state.visible if defends(fw, grounded, a, state))
+        if nxt == grounded:
+            return grounded
+        grounded = nxt
 
 
 def holds(
@@ -150,18 +139,23 @@ def holds(
     max_args: int = DEFAULT_MAX_ENUM_ARGS,
 ) -> bool:
     """Evaluate one of the five semantics labels for `candidate` at
-    `state`."""
+    `state`. Only `pr` enumerates, bounded by `max_args`."""
     candidate = frozenset(candidate)
     if label == "ad":
         return is_admissible(fw, candidate, state)
     if label == "co":
         return is_complete(fw, candidate, state)
     if label == "pr":
-        return is_preferred(fw, candidate, state, max_args)
+        return is_complete(fw, candidate, state) and not any(
+            candidate < c for c in complete_sets(fw, state, max_args)
+        )
     if label == "st":
-        return is_stable(fw, candidate, state, max_args)
+        return is_admissible(fw, candidate, state) and all(
+            any((c, other) in fw.attacks for c in candidate)
+            for other in state.visible - candidate
+        )
     if label == "gr":
-        return candidate == grounded_set(fw, state, max_args)
+        return candidate == grounded_set(fw, state)
     raise ValueError(f"unknown semantics label: {label!r}")
 
 
@@ -170,28 +164,18 @@ def extensions(
     max_args: int = DEFAULT_MAX_ENUM_ARGS,
 ) -> tuple[frozenset[str], ...]:
     """All subsets of the visible set satisfying `label`, canonically
-    ordered. The grounded label yields exactly one candidate."""
-    _check_enum_bound(state, max_args)
+    ordered. The grounded label yields exactly one candidate; every other
+    label enumerates, bounded by `max_args`."""
     if label == "gr":
-        return (grounded_set(fw, state, max_args),)
-    if label == "co":
-        return complete_sets(fw, state, max_args)
-    if label == "pr":
-        sets = complete_sets(fw, state, max_args)
-        return tuple(c for c in sets if not any(c < d for d in sets))
-    if label == "st":
-        return tuple(
-            c
-            for c in extensions(fw, "pr", state, max_args)
-            if is_stable(fw, c, state, max_args)
-        )
+        return (grounded_set(fw, state),)
     if label == "ad":
-        vis = fw.sort_args(state.visible)
-        found = []
-        for r in range(len(vis) + 1):
-            for combo in combinations(vis, r):
-                cand = frozenset(combo)
-                if is_admissible(fw, cand, state):
-                    found.append(cand)
-        return tuple(found)
+        return tuple(
+            c for c in _visible_subsets(fw, state, max_args)
+            if is_admissible(fw, c, state)
+        )
+    if label in ("co", "pr", "st"):  # st <= pr <= co
+        return tuple(
+            c for c in complete_sets(fw, state, max_args)
+            if holds(fw, label, c, state, max_args)
+        )
     raise ValueError(f"unknown semantics label: {label!r}")

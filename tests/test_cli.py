@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,5 +202,82 @@ def test_negative_bounds_rejected(argv, elma_file, tmp_path):
 
 @pytest.mark.parametrize("command", ["states", "transitions", "dot"])
 def test_max_args_only_where_extensions_are_enumerated(command, elma_file):
-    with pytest.raises(SystemExit):
-        run([command, elma_file, "--max-args", "3"])
+    code, out, err = run([command, elma_file, "--max-args", "3"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--max-args" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["states", "ELMA", "--max-states", "abc"],
+        ["semantics", "ELMA", "--state", "a2", "--which", "xx"],
+        ["bogus"],
+        [],
+    ],
+)
+def test_usage_errors_exit_1(argv, elma_file):
+    argv = [elma_file if a == "ELMA" else a for a in argv]
+    code, out, err = run(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["states", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: apa states")
+
+
+@pytest.mark.parametrize("command", ["states", "transitions", "dot"])
+def test_sigma_unknown_argument(command, elma_file):
+    code, out, err = run([command, elma_file, "--sigma", "{a2},{zz}"])
+    assert code == 1 and out == ""
+    assert err == "error: unknown arguments in --sigma: zz\n"
+
+
+@pytest.fixture
+def wide_file(tmp_path):
+    """25 visible arguments, no attacks and no acts: one state, more
+    visible arguments than the default enumeration bound."""
+    names = " ".join(f"a{i}" for i in range(25))
+    path = tmp_path / "wide.apa"
+    path.write_text(f"arguments: {names}\ninitial: {names}\n")
+    return str(path)
+
+
+def test_grounded_is_not_bounded_by_max_args(wide_file, tmp_path):
+    names = ",".join(f"a{i}" for i in range(25))
+    q = tmp_path / "q.q"
+    q.write_text(f"formula: sem(gr, {{a0}}) | EF{{*}} sem(gr, {{{names}}})\n")
+    code, out, err = run(["check", wide_file, str(q)])
+    assert (code, out, err) == (0, "true\n", "")
+    code, out, _ = run(["semantics", wide_file, "--state", names, "--which", "gr"])
+    assert (code, out) == (0, f"{{{names}}}\n")
+
+
+def test_admissible_listing_still_bounded(wide_file):
+    names = ",".join(f"a{i}" for i in range(25))
+    code, out, err = run(["semantics", wide_file, "--state", names, "--which", "ad"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "bound of 20" in err
+
+
+def test_benchmark_trace_hooks_resolve(elma_file, tmp_path):
+    """The benchmark's traced run wraps functions by name; a renamed hook
+    must fail here rather than in a benchmark run."""
+    root = Path(__file__).resolve().parents[1]
+    q = tmp_path / "q.q"
+    q.write_text(QUERY_TRUE)
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "apa_traced.py"), str(spans),
+         "--", "check", elma_file, str(q)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode in (0, 2), proc.stderr
+    names = {span[1] for span in json.loads(spans.read_text())["spans"]}
+    assert "ctl.check" in names
+    assert any(n.startswith("semantics.holds.") for n in names), names

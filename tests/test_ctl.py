@@ -320,3 +320,22 @@ def test_eg_witness(oscillator):
 def test_no_witness_for_boolean_top(elma):
     result = check(elma, parse_query("formula: true"))
     assert result.value and result.witness is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "formula: AX{*} false",
+        "formula: AF{*} false",
+        "formula: AG{*} visible(a4)",
+        "formula: A{*}[visible(a4) U false]",
+        "formula: A{*}[true U !visible(a2) & false]",
+    ],
+)
+def test_counterexample_labels_only_query_subformulas(elma, text):
+    query = parse_query(text)
+    result = check(elma, query)
+    assert not result.value and result.witness is not None
+    subformulas = []
+    ctl._subformulas(query.formula, subformulas)
+    assert set(result.labeling.sat) == set(subformulas)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from apa import semantics
@@ -166,3 +168,44 @@ def test_admissibility_not_preserved_by_transition(elma):
     after = elma.state(["a2", "a3", "a5"])
     assert holds(elma, "ad", fs("a2", "a4"), before)
     assert not holds(elma, "ad", fs("a2", "a4"), after)
+
+
+def test_holds_agrees_with_extensions_on_random_instances():
+    # one definition per label: each listed extension, and 3 random subsets
+    # of the visible set, satisfy `holds` exactly when they are listed; the
+    # least fixpoint of defence is the intersection of the complete sets
+    for seed in range(500):
+        fw = random_framework(
+            RandomInstanceSpec(
+                n_args=2 + seed % 5,
+                attack_density=0.3,
+                n_induce=1,
+                n_convert=2,
+                seed=seed,
+            )
+        )
+        rng = random.Random(seed)
+        for state in reachable(fw, ALL).states:
+            vis = sorted(state.visible)
+            randoms = [
+                frozenset(a for a in vis if rng.random() < 0.5) for _ in range(3)
+            ]
+            for label in semantics.LABELS:
+                exts = extensions(fw, label, state)
+                for cand in list(exts) + randoms:
+                    assert holds(fw, label, cand, state) == (cand in exts), (
+                        seed, state, label, cand,
+                    )
+            # stable by its textbook definition: preferred and attacking
+            # every visible non-member
+            assert extensions(fw, "st", state) == tuple(
+                c for c in extensions(fw, "pr", state)
+                if all(
+                    any((m, other) in fw.attacks for m in c)
+                    for other in state.visible - c
+                )
+            ), (seed, state)
+            cos = complete_sets(fw, state)
+            assert grounded_set(fw, state) == frozenset.intersection(*cos), (
+                seed, state,
+            )
