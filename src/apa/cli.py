@@ -8,8 +8,9 @@
 
 `--sigma` is `all` or a comma-separated list of brace-set literals, e.g.
 `{a2},{a1,a3},{}`. Exit codes: 0 success (and true verdicts), 2 formula
-false, 1 any error. All output is deterministic; `--json` switches the
-result to a canonical JSON document.
+false, 1 any error. All output is deterministic; `--json` (states,
+transitions, semantics, check) switches the result to a canonical JSON
+document.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 import sys
 
 from . import ctl, dynamics, semantics
-from .dot import export_dot
+from .dot import export_dot, selector_label
 from .dynamics import SelectorFamily
 from .errors import ApaError
 from .fileformat import parse_framework
@@ -68,12 +69,6 @@ def _read(path: str) -> str:
 
 def _state_doc(fw: APAFramework, state: State) -> list[str]:
     return list(fw.sort_args(state.visible))
-
-
-def _sigma_label(lts: dynamics.LTS, selector: int) -> str:
-    if lts.family.is_wildcard:
-        return "*"
-    return lts.framework.format_set(lts.family.effective[selector])
 
 
 def cmd_states(args, out) -> int:
@@ -125,7 +120,7 @@ def cmd_transitions(args, out) -> int:
         print(json.dumps(doc, sort_keys=True), file=out)
         return 0
     for src, sel, dst in lts.edges:
-        label = f"#{sel} {_sigma_label(lts, sel)}"
+        label = f"#{sel} {selector_label(lts, sel)}"
         print(
             f"{fw.format_set(src.visible)} -[{label}]-> "
             f"{fw.format_set(dst.visible)}",
@@ -205,7 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sigma=False):
+    def command(name, help, func, sigma=False, as_json=False,
+                max_states=False, max_args=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("file", help="framework file")
         if sigma:
             p.add_argument(
@@ -214,43 +212,37 @@ def build_parser() -> argparse.ArgumentParser:
                 help="'all' or comma-separated brace-set literals "
                 "(default: all)",
             )
-        p.add_argument("--json", action="store_true",
-                       help="emit a canonical JSON document")
-        p.add_argument("--max-states", type=int,
-                       default=dynamics.DEFAULT_MAX_STATES,
-                       help="override the reachable-state bound")
-        if not sigma:  # semantics and check; dot --annotate keeps the default
+        if as_json:
+            p.add_argument("--json", action="store_true",
+                           help="emit a canonical JSON document")
+        if max_states:
+            p.add_argument("--max-states", type=int,
+                           default=dynamics.DEFAULT_MAX_STATES,
+                           help="override the reachable-state bound")
+        if max_args:  # dot --annotate keeps the default
             p.add_argument("--max-args", type=int,
                            default=semantics.DEFAULT_MAX_ENUM_ARGS,
                            help="override the extension-enumeration bound")
+        return p
 
-    p = sub.add_parser("states", help="list reachable states")
-    common(p, sigma=True)
-    p.set_defaults(func=cmd_states)
-
-    p = sub.add_parser("transitions", help="list labeled transitions")
-    common(p, sigma=True)
-    p.set_defaults(func=cmd_transitions)
-
-    p = sub.add_parser("semantics", help="list extensions at a state")
-    common(p)
+    command("states", "list reachable states", cmd_states,
+            sigma=True, as_json=True, max_states=True)
+    command("transitions", "list labeled transitions", cmd_transitions,
+            sigma=True, as_json=True, max_states=True)
+    p = command("semantics", "list extensions at a state", cmd_semantics,
+                as_json=True, max_args=True)
     p.add_argument("--state", required=True,
                    help="comma-separated visible arguments")
     p.add_argument("--which", required=True,
                    choices=list(semantics.LABELS))
-    p.set_defaults(func=cmd_semantics)
-
-    p = sub.add_parser("check", help="evaluate a query file")
-    common(p)
+    p = command("check", "evaluate a query file", cmd_check,
+                as_json=True, max_states=True, max_args=True)
     p.add_argument("query", help="query file")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("dot", help="emit the LTS as Graphviz DOT")
-    common(p, sigma=True)
+    p = command("dot", "emit the LTS as Graphviz DOT", cmd_dot,
+                sigma=True, max_states=True)
     p.add_argument("--annotate", choices=list(semantics.LABELS),
                    default=None,
                    help="annotate each node with this label's extensions")
-    p.set_defaults(func=cmd_dot)
     return parser
 
 

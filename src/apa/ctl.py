@@ -10,7 +10,7 @@ associative); temporal operators AX EX AF EF AG EG carry a selector
 superscript `{Name,...}` or `{*}`; until is written `A{S}[p U q]` /
 `E{S}[p U q]`. Atoms: `true`, `false`, `in(arg, Set)`, `sem(ad|co|pr|st|gr,
 Set)`, `visible(arg)` and the macro `exact(Set, Set)`. An inline `{a,b}`
-literal may stand for a set operand; it binds a fresh name.
+literal may stand for a set operand or a selector; it binds a fresh name.
 
 Temporal operators range over transitions whose reference set is drawn
 from their own selector family; a state with no outgoing edge for a family
@@ -118,11 +118,6 @@ class Sigma:
     @property
     def is_wildcard(self) -> bool:
         return self.names is None
-
-    def __str__(self) -> str:
-        if self.names is None:
-            return "{*}"
-        return "{" + ",".join(self.names) + "}"
 
 
 @dataclass(frozen=True)
@@ -356,13 +351,16 @@ class _Parser:
         names = []
         while not self.at("}"):
             tok = self.cur
-            if tok.kind != "name":
-                self.error("expected a set name in selector list")
-            if tok.text not in self.sets:
+            if self.at("{"):
+                names.append(self.fresh_literal(self.parse_set_literal()))
+            elif tok.kind != "name":
+                self.error("expected a set name or literal in selector list")
+            elif tok.text not in self.sets:
                 raise UnknownSelector(
                     f"undeclared selector set {tok.text!r} at line {tok.line}"
                 )
-            names.append(self.advance().text)
+            else:
+                names.append(self.advance().text)
             if self.at(","):
                 self.advance()
         self.expect("}")
@@ -432,6 +430,12 @@ def parse_query(text: str) -> Query:
     return _Parser(text).parse_query()
 
 
+def _children(node: Formula) -> list[Formula]:
+    """The direct subformulas of `node`, left to right."""
+    children = (getattr(node, a, None) for a in ("sub", "left", "right"))
+    return [child for child in children if isinstance(child, Formula)]
+
+
 def _height(node: Formula) -> int:
     """Height of a formula tree, measured without recursion."""
     height = 0
@@ -439,10 +443,7 @@ def _height(node: Formula) -> int:
     while stack:
         node, depth = stack.pop()
         height = max(height, depth)
-        for attr in ("sub", "left", "right"):
-            child = getattr(node, attr, None)
-            if isinstance(child, Formula):
-                stack.append((child, depth + 1))
+        stack.extend((child, depth + 1) for child in _children(node))
     return height
 
 
@@ -461,6 +462,11 @@ def _print_setref(name: str, query: Query) -> str:
 
 def print_formula(node: Formula, query: Query) -> str:
     """Render a formula back to concrete syntax (reparses to an equal AST)."""
+
+    def sigma(sig: Sigma) -> str:
+        if sig.is_wildcard:
+            return "{*}"
+        return "{" + ",".join(_print_setref(n, query) for n in sig.names) + "}"
 
     def wrap(sub: Formula, limit: int) -> str:
         text = render(sub)
@@ -495,10 +501,10 @@ def print_formula(node: Formula, query: Query) -> str:
             # right-assoc: parenthesize a left implication, keep the right
             return f"{wrap(n.left, 1)} -> {wrap(n.right, 0)}"
         if isinstance(n, Temporal):
-            return f"{n.op}{n.sigma} {wrap(n.sub, 3)}"
+            return f"{n.op}{sigma(n.sigma)} {wrap(n.sub, 3)}"
         if isinstance(n, Until):
             return (
-                f"{n.quant}{n.sigma}"
+                f"{n.quant}{sigma(n.sigma)}"
                 f"[{render(n.left)} U {render(n.right)}]"
             )
         raise TypeError(f"not a formula node: {n!r}")
@@ -520,15 +526,21 @@ def print_query(query: Query) -> str:
 # Labeling (fixpoint model checking)
 
 
-def _subformulas(node: Formula, out: list[Formula]) -> None:
-    """Postorder, deduplicated."""
-    if node in out:
-        return
-    for attr in ("sub", "left", "right"):
-        child = getattr(node, attr, None)
-        if isinstance(child, Formula):
-            _subformulas(child, out)
-    out.append(node)
+def _subformulas(root: Formula) -> list[Formula]:
+    """Every distinct subformula of `root` once, in postorder (children
+    left to right, each before its parent), without recursion."""
+    order: dict[Formula, None] = {}
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node in order:
+            continue
+        if expanded:
+            order[node] = None
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(_children(node)))
+    return list(order)
 
 
 @dataclass(eq=False)
@@ -558,15 +570,6 @@ def _resolve_sets(fw: APAFramework, query: Query) -> dict[str, frozenset[str]]:
     return sets
 
 
-def _collect_sigmas(node: Formula, out: list[Sigma]) -> None:
-    if isinstance(node, (Temporal, Until)) and node.sigma not in out:
-        out.append(node.sigma)
-    for attr in ("sub", "left", "right"):
-        child = getattr(node, attr, None)
-        if isinstance(child, Formula):
-            _collect_sigmas(child, out)
-
-
 class _Engine:
     """One labeling pass over the union LTS of all mentioned selectors."""
 
@@ -582,27 +585,26 @@ class _Engine:
         self.max_args = max_args
         self.sets = _resolve_sets(fw, query)
 
-        sigmas: list[Sigma] = []
-        _collect_sigmas(query.formula, sigmas)
-        selectors: list[frozenset[str]] = []
-        self.sigma_refsets: dict[Sigma, tuple[frozenset[str], ...]] = {}
-        for sigma in sigmas:
-            if sigma.is_wildcard:
-                refsets = (frozenset(),)  # wildcard == empty reference set
-            else:
-                refsets = tuple(self.sets[n] for n in sigma.names)
-            self.sigma_refsets[sigma] = refsets
-            for r in refsets:
-                if r not in selectors:
-                    selectors.append(r)
+        self.order = _subformulas(query.formula)
+        sigma_refsets: dict[Sigma, tuple[frozenset[str], ...]] = {}
+        for node in self.order:
+            if isinstance(node, (Temporal, Until)):
+                sigma = node.sigma
+                if sigma.is_wildcard:
+                    refsets = (frozenset(),)  # wildcard == empty reference set
+                else:
+                    refsets = tuple(self.sets[n] for n in sigma.names)
+                sigma_refsets[sigma] = refsets
+        selectors = {r: None for rs in sigma_refsets.values() for r in rs}
+        index = {r: i for i, r in enumerate(selectors)}
         family = SelectorFamily(tuple(selectors))
         self.lts = dynamics.reachable(fw, family, max_states=max_states)
         self.states = frozenset(self.lts.states)
 
         # successor maps per selector family, stutter-completed
         self._succ: dict[Sigma, dict[State, frozenset[State]]] = {}
-        for sigma, refsets in self.sigma_refsets.items():
-            ids = {selectors.index(r) for r in refsets}
+        for sigma, refsets in sigma_refsets.items():
+            ids = {index[r] for r in refsets}
             table = {}
             for s in self.lts.states:
                 succs = self.lts.successors_of(s, ids)
@@ -653,10 +655,8 @@ class _Engine:
     # -- node evaluation --------------------------------------------------
 
     def label(self) -> Labeling:
-        order: list[Formula] = []
-        _subformulas(self.query.formula, order)
         sat: dict[Formula, frozenset[State]] = {}
-        for node in order:
+        for node in self.order:
             sat[node] = self.eval_node(node, sat)
         return Labeling(lts=self.lts, query=self.query, sat=sat)
 

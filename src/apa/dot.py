@@ -11,6 +11,13 @@ from .dynamics import LTS
 from .semantics import LABELS, extensions
 
 
+def selector_label(lts: LTS, selector: int) -> str:
+    """`*` for the wildcard family, else the selector's reference set."""
+    if lts.family.is_wildcard:
+        return "*"
+    return lts.framework.format_set(lts.family.effective[selector])
+
+
 def export_dot(lts: LTS, annotate_extensions: str | None = None) -> str:
     """Render `lts` as DOT text.
 
@@ -23,7 +30,6 @@ def export_dot(lts: LTS, annotate_extensions: str | None = None) -> str:
 
     fw = lts.framework
     ids = {state: f"s{i}" for i, state in enumerate(lts.states)}
-    selectors = lts.family.effective
 
     lines = ["digraph apa {", "  rankdir=LR;", '  node [shape=ellipse];']
     for state in lts.states:
@@ -39,7 +45,7 @@ def export_dot(lts: LTS, annotate_extensions: str | None = None) -> str:
             attrs.append("peripheries=2")
         lines.append(f'  {ids[state]} [{", ".join(attrs)}];')
     for src, sel, dst in lts.edges:
-        sel_label = "*" if lts.family.is_wildcard else fw.format_set(selectors[sel])
-        lines.append(f'  {ids[src]} -> {ids[dst]} [label="{sel_label}"];')
+        label = selector_label(lts, sel)
+        lines.append(f'  {ids[src]} -> {ids[dst]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -61,17 +61,35 @@ ALL = SelectorFamily.wildcard()
 class LTS:
     """Reachable states plus transitions labeled by selector index.
 
-    `tables[i]` maps every state to its successors under selector `i`;
-    `edges` and `deadlocks` are derived from the tables.
+    The transition relation is stored once: `tables[i]` maps every state
+    to its successors under selector `i`. `edges` and `deadlocks` are
+    derived from the tables on first use, in canonical order.
     """
 
     framework: APAFramework
     family: SelectorFamily
     states: tuple[State, ...]
-    edges: tuple[tuple[State, int, State], ...]
     initial: State
-    deadlocks: frozenset[State]
     tables: tuple[dict[State, frozenset[State]], ...]
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[State, int, State], ...]:
+        """(source, selector index, target) triples: sources and targets in
+        `states` order, selectors in index order."""
+        position = {s: i for i, s in enumerate(self.states)}
+        return tuple(
+            (s, i, t)
+            for s in self.states
+            for i, table in enumerate(self.tables)
+            for t in sorted(table[s], key=position.__getitem__)
+        )
+
+    @functools.cached_property
+    def deadlocks(self) -> frozenset[State]:
+        """States with no successor under any selector."""
+        return frozenset(
+            s for s in self.states if not any(t[s] for t in self.tables)
+        )
 
     def successors_of(self, state: State, selector_ids) -> frozenset[State]:
         """Successor states of `state` under the given selector indices."""
@@ -130,9 +148,9 @@ def reachable(
     """Breadth-first closure of the transition relation from the initial
     state, expanding under every selector of `family` at every state.
 
-    The result is canonical: states sorted by their member-index tuples,
-    edges sorted by (source, selector index, target). States with no
-    outgoing edge under the family are flagged as deadlocks.
+    The result keeps one successor table per selector and the states
+    sorted by their member-index tuples; `LTS.edges` and `LTS.deadlocks`
+    are derived from the tables when first read.
     """
     selectors = family.effective
     init = fw.initial_state
@@ -152,21 +170,4 @@ def reachable(
                     seen.add(succ)
                     queue.append(succ)
     states = tuple(sorted(seen, key=fw.state_key))
-    edges = [
-        (s, idx, t)
-        for idx, table in enumerate(tables)
-        for s, succs in table.items()
-        for t in succs
-    ]
-    edge_key = lambda e: (fw.state_key(e[0]), e[1], fw.state_key(e[2]))
-    return LTS(
-        framework=fw,
-        family=family,
-        states=states,
-        edges=tuple(sorted(edges, key=edge_key)),
-        initial=init,
-        deadlocks=frozenset(
-            s for s in states if not any(table[s] for table in tables)
-        ),
-        tables=tables,
-    )
+    return LTS(fw, family, states, init, tables)

@@ -8,7 +8,8 @@ are always recomputed from the framework, never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -82,13 +83,9 @@ class APAFramework:
     def index(self, arg: str) -> int:
         return self._index[arg]
 
-    @property
+    @functools.cached_property
     def _index(self) -> dict[str, int]:
-        d = self.__dict__.get("_index_cache")
-        if d is None:
-            d = {a: i for i, a in enumerate(self.arguments)}
-            object.__setattr__(self, "_index_cache", d)
-        return d
+        return {a: i for i, a in enumerate(self.arguments)}
 
     def sort_args(self, args: Iterable[str]) -> tuple[str, ...]:
         """Sort argument ids by declaration order."""

@@ -200,11 +200,24 @@ def test_negative_bounds_rejected(argv, elma_file, tmp_path):
     assert err.startswith("error: --max-") and "negative" in err
 
 
-@pytest.mark.parametrize("command", ["states", "transitions", "dot"])
-def test_max_args_only_where_extensions_are_enumerated(command, elma_file):
-    code, out, err = run([command, elma_file, "--max-args", "3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["states", "--max-args", "3"],
+        ["transitions", "--max-args", "3"],
+        ["dot", "--max-args", "3"],
+        ["dot", "--json"],
+        ["semantics", "--max-states", "1", "--state", "a2", "--which", "ad"],
+    ],
+    ids=["states", "transitions", "dot", "dot-json", "semantics-max-states"],
+)
+def test_max_args_only_where_extensions_are_enumerated(argv, elma_file):
+    """A flag is registered only where it acts: `--max-args` where
+    extensions are enumerated, `--json` where a JSON document is printed,
+    `--max-states` where the state space is built."""
+    code, out, err = run([argv[0], elma_file, *argv[1:]])
     assert code == 1 and out == ""
-    assert err.startswith("error:") and "--max-args" in err
+    assert err.startswith("error:") and argv[1] in err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -110,6 +111,49 @@ def test_unknown_set_name():
 def test_unknown_selector():
     with pytest.raises(UnknownSelector):
         parse_query("formula: EF{Nope} true")
+
+
+def test_selector_literals_parse():
+    query = parse_query("set S = {a2}\nformula: EF{{a2},{},S} true")
+    names = query.formula.sigma.names
+    bindings = query.bindings()
+    assert [bindings[n] for n in names] == [
+        frozenset(["a2"]), frozenset(), frozenset(["a2"])
+    ]
+    assert query.implicit == frozenset(names[:2])
+
+
+def test_selector_literals_check(elma):
+    # {a2} blocks elma's only act (a2 attacks its source a3); {} does not
+    assert not check(elma, parse_query("formula: EF{{a2}} visible(a5)")).value
+    assert check(elma, parse_query("formula: EF{{a2},{}} visible(a5)")).value
+
+
+def test_selector_literals_roundtrip():
+    query = parse_query(
+        "set S = {a2}\nformula: A{S,{a3,a2}}[true U EX{{}} in(a2, {a2})]"
+    )
+    text = print_query(query)
+    assert text == (
+        "set S = {a2}\nformula: A{S,{a2,a3}}[true U EX{{}} in(a2, {a2})]\n"
+    )
+    assert parse_query(text) == query
+
+
+def test_wide_formula_labels_in_budget():
+    """Distinct subformulas are collected in linear time: a balanced `&` of
+    4,000 distinct atoms under EF is checked within 3 s."""
+
+    def balanced(n):
+        if n == 1:
+            return "in(a2, {a2})"
+        return f"({balanced(n // 2)} & {balanced(n - n // 2)})"
+
+    query = parse_query(f"formula: EF{{*}} {balanced(4000)}")
+    fw = framework(["a2"], initial=["a2"])
+    start = time.perf_counter()
+    assert check(fw, query).value
+    assert time.perf_counter() - start < 3.0
 
 
 def test_roundtrip_random_asts():
@@ -322,6 +366,11 @@ def test_no_witness_for_boolean_top(elma):
     assert result.value and result.witness is None
 
 
+def test_check_leaves_edges_and_deadlocks_unbuilt(oscillator):
+    lts = check(oscillator, parse_query("formula: AG{*} visible(a1)")).labeling.lts
+    assert "edges" not in vars(lts) and "deadlocks" not in vars(lts)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -336,6 +385,4 @@ def test_counterexample_labels_only_query_subformulas(elma, text):
     query = parse_query(text)
     result = check(elma, query)
     assert not result.value and result.witness is not None
-    subformulas = []
-    ctl._subformulas(query.formula, subformulas)
-    assert set(result.labeling.sat) == set(subformulas)
+    assert set(result.labeling.sat) == set(ctl._subformulas(query.formula))

@@ -220,3 +220,44 @@ def test_selector_indices_label_edges(elma):
     assert {(s.visible, i) for s, i, _ in lts.edges} == {
         (frozenset(["a2", "a3", "a4"]), 0)
     }
+
+
+def _derived_views_match_tables(lts):
+    """`edges` is every table entry sorted by (source key, selector index,
+    target key); `deadlocks` the states whose tables are all empty."""
+    key = lts.framework.state_key
+    entries = [
+        (s, i, t)
+        for i, table in enumerate(lts.tables)
+        for s, succs in table.items()
+        for t in succs
+    ]
+    assert lts.edges == tuple(
+        sorted(entries, key=lambda e: (key(e[0]), e[1], key(e[2])))
+    )
+    assert lts.deadlocks == {
+        s for s in lts.states if not any(table[s] for table in lts.tables)
+    }
+    assert list(lts.states) == sorted(lts.states, key=key)
+
+
+def test_edges_and_deadlocks_derive_from_tables():
+    fw = random_framework(RandomInstanceSpec(12, 0.15, 6, 6, seed=5))
+    lts = reachable(fw, ALL)
+    assert (len(lts.states), len(lts.edges)) == (108, 1934)
+    _derived_views_match_tables(lts)
+    rng = random.Random(4242)
+    for seed in range(200):
+        fw = random_framework(
+            RandomInstanceSpec(
+                n_args=3 + seed % 5, n_induce=1 + seed % 3,
+                n_convert=1 + seed % 4, seed=9000 + seed,
+            )
+        )
+        pick = lambda: {a for a in fw.arguments if rng.random() < 0.4}
+        for family in (
+            ALL,
+            SelectorFamily.of(pick()),
+            SelectorFamily.of(pick(), set(), pick()),
+        ):
+            _derived_views_match_tables(reachable(fw, family))
