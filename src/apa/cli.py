@@ -20,7 +20,7 @@ import json
 import re
 import sys
 
-from . import ctl, dynamics, semantics
+from . import dynamics, semantics
 from .dot import export_dot, selector_label
 from .dynamics import SelectorFamily
 from .errors import ApaError
@@ -151,6 +151,8 @@ def cmd_semantics(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
+    from . import ctl  # only `check` pays for importing the query engine
+
     fw = parse_framework(_read(args.file))
     query = ctl.parse_query(_read(args.query))
     result = ctl.check(fw, query, args.max_states, args.max_args)

@@ -269,7 +269,11 @@ class _Parser:
         return frozenset(members)
 
     def fresh_literal(self, members: frozenset[str]) -> str:
-        name = f"_s{len(self.implicit)}"
+        """Bind an inline literal to the first `_s<i>` name not yet taken."""
+        i = len(self.implicit)
+        while f"_s{i}" in self.sets:
+            i += 1
+        name = f"_s{i}"
         self.sets[name] = members
         self.implicit.append(name)
         return name
@@ -554,20 +558,21 @@ class Labeling:
     query: Query
     sat: dict[Formula, frozenset[State]]
 
-    def holds_at(self, node: Formula, state: State) -> bool:
-        return state in self.sat[node]
-
 
 def _resolve_sets(fw: APAFramework, query: Query) -> dict[str, frozenset[str]]:
-    sets = query.bindings()
+    """The query's bindings, each checked against the framework."""
     declared = set(fw.arguments)
-    for name, members in sets.items():
-        for a in members:
-            if a not in declared:
-                raise UnknownName(
-                    f"set {name!r} mentions undeclared argument {a!r}"
-                )
-    return sets
+    for name, members in query.sets:
+        unknown = sorted(members - declared)
+        if unknown:
+            shown = (
+                "literal " + _print_setref(name, query)
+                if name in query.implicit else repr(name)
+            )
+            raise UnknownName(
+                f"set {shown} mentions undeclared argument {unknown[0]!r}"
+            )
+    return query.bindings()
 
 
 class _Engine:
@@ -723,16 +728,6 @@ class _Engine:
     def _check_arg(self, arg: str) -> None:
         if arg not in self.fw.arguments:
             raise UnknownName(f"undeclared argument {arg!r} in query")
-
-
-def label(
-    fw: APAFramework,
-    query: Query,
-    max_states: int = dynamics.DEFAULT_MAX_STATES,
-    max_args: int = semantics.DEFAULT_MAX_ENUM_ARGS,
-) -> Labeling:
-    """Bottom-up labeling of every subformula at every reachable state."""
-    return _Engine(fw, query, max_states, max_args).label()
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,6 @@ class SelectorFamily:
     def wildcard(cls) -> "SelectorFamily":
         return cls(None)
 
-    @classmethod
-    def of(cls, *refsets) -> "SelectorFamily":
-        return cls(tuple(frozenset(r) for r in refsets))
-
     @property
     def is_wildcard(self) -> bool:
         return self.selectors is None
@@ -99,18 +95,16 @@ class LTS:
 def possible_acts(
     fw: APAFramework, refset: frozenset[str], state: State
 ) -> frozenset[PersuasionAct]:
-    """Acts executable at `state` when screened by `refset`."""
+    """Acts executable at `state` when screened by `refset`: an act is
+    blocked when a visible member of `refset` attacks its source."""
     visible = state.visible
-    blocked_sources = set()
-    for (a, b) in fw.attacks:
-        if a in refset and a in visible:
-            blocked_sources.add(b)
+    screen = refset & visible
     return frozenset(
         act
         for act in fw.persuasions
         if act.source in visible
         and (act.trigger is None or act.trigger in visible)
-        and act.source not in blocked_sources
+        and not fw.attackers[act.source] & screen
     )
 
 
@@ -152,6 +146,8 @@ def reachable(
     sorted by their member-index tuples; `LTS.edges` and `LTS.deadlocks`
     are derived from the tables when first read.
     """
+    if max_states < 1:
+        raise TooLarge(f"reachable state count exceeds {max_states}")
     selectors = family.effective
     init = fw.initial_state
     seen = {init}

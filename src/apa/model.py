@@ -2,8 +2,10 @@
 
 Arguments are plain string ids; a framework fixes their declaration order,
 which every set-valued output in the package is sorted by. A state is a
-value object identified solely by its visible set; the attacks it induces
-are always recomputed from the framework, never stored.
+value object identified solely by its visible set. A set defends a
+visible argument when it counter-attacks every visible threat to it: each
+attacker of the argument, and each source of a convert act that drops it.
+A framework derives both relations once, as `attackers` and `eliminators`.
 """
 
 from __future__ import annotations
@@ -46,18 +48,13 @@ class PersuasionAct:
     def is_convert(self) -> bool:
         return self.trigger is not None
 
-    def __str__(self) -> str:
-        if self.is_induce:
-            return f"{self.source} => {self.target}"
-        return f"{self.source} : {self.trigger} => {self.target}"
-
 
 @dataclass(frozen=True)
 class State:
     """A state of the dynamics: the set of currently visible arguments.
 
-    Two states are equal iff their visible sets are equal; the induced
-    attack relation is derived on demand (see APAFramework.induced_attacks).
+    Two states are equal iff their visible sets are equal; the attacks it
+    induces are the framework's `attackers` restricted to `visible`.
     """
 
     visible: frozenset[str]
@@ -104,18 +101,34 @@ class APAFramework:
     def initial_state(self) -> State:
         return State(self.initial)
 
-    def induced_attacks(self, state: State) -> frozenset[tuple[str, str]]:
-        """The attack pairs with both endpoints visible in `state`."""
-        v = state.visible
-        return frozenset((a, b) for (a, b) in self.attacks if a in v and b in v)
+    # -- the two relations defence reads -----------------------------------
 
-    def attackers_of(self, state: State, arg: str) -> frozenset[str]:
-        """Visible arguments attacking `arg` in `state`."""
-        v = state.visible
-        return frozenset(a for (a, b) in self.attacks if b == arg and a in v)
+    @functools.cached_property
+    def attackers(self) -> dict[str, frozenset[str]]:
+        """`attackers[x]`: every argument attacking `x`, visible or not."""
+        return _sources_by_target(self.arguments, self.attacks)
+
+    @functools.cached_property
+    def eliminators(self) -> dict[str, frozenset[str]]:
+        """`eliminators[x]`: the sources of the convert acts (s, x, t) with
+        t != x. Each such act drops `x` when fired alone, and every
+        transition that drops `x` fires one of them."""
+        drops = ((act.source, act.trigger) for act in self.persuasions
+                 if act.trigger not in (None, act.target))
+        return _sources_by_target(self.arguments, drops)
 
     def format_set(self, args: Iterable[str]) -> str:
         return "{" + ",".join(self.sort_args(args)) + "}"
+
+
+def _sources_by_target(
+    arguments: tuple[str, ...], pairs: Iterable[tuple[str, str]]
+) -> dict[str, frozenset[str]]:
+    """Group (source, target) pairs by target, one entry per argument."""
+    sources: dict[str, set[str]] = {a: set() for a in arguments}
+    for source, target in pairs:
+        sources[target].add(source)
+    return {a: frozenset(s) for a, s in sources.items()}
 
 
 def validate(

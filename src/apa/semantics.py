@@ -1,21 +1,24 @@
 """State-wise admissibility semantics.
 
-A candidate set is admissible at a state when it is conflict-free among its
-visible members, proper (a subset of the visible arguments), and defends
-each of its members. Defendedness has two parts: every visible attacker of
-a member is counter-attacked by a visible candidate member, and no
-transition screened by the candidate itself can make the member invisible
-(no elimination). Complete / preferred / stable / grounded refine this in
-the usual way, with completeness closure restricted to visible arguments.
+A candidate set is admissible at a state when it is proper (a subset of
+the visible arguments), conflict-free, and defends each of its members.
+Defence answers persuasion as well as attack: a member's threats are its
+visible attackers and the visible sources of the convert acts that drop
+it (`APAFramework.attackers`, `.eliminators`), and the candidate defends
+it when a visible member attacks every threat, which also screens those
+acts out under the candidate as reference set. Complete / preferred /
+stable / grounded refine this in the usual way, with completeness closure
+restricted to visible arguments.
 
-Both parts of defence are monotone in the candidate, so Dung's fundamental
-lemma carries over: the grounded set is the least fixpoint of
-R -> {visible a : R defends a}, reached by iteration from the empty set
-without enumeration, and a stable set is an admissible set attacking every
-visible non-member (such a set is maximal admissible, hence preferred).
-`holds` is the one definition of each label; `extensions` filters the
-candidates through it. Listing the `ad`/`co`/`pr`/`st` extensions and
-testing `pr` enumerate the 2^|V| visible subsets, bounded by `max_args`.
+Defence is monotone in the candidate, so Dung's fundamental lemma carries
+over: the grounded set is the least fixpoint of the characteristic
+function R -> {visible a : R defends a}, reached by iteration from the
+empty set without enumeration, and a stable set is an admissible set
+attacking every visible non-member (such a set is maximal admissible,
+hence preferred). `holds` is the one definition of each label;
+`extensions` filters the candidates through it. Listing the
+`ad`/`co`/`pr`/`st` extensions and testing `pr` enumerate the 2^|V|
+visible subsets, bounded by `max_args`.
 """
 
 from __future__ import annotations
@@ -35,45 +38,40 @@ DEFAULT_MAX_ENUM_ARGS = 20
 def is_conflict_free(fw: APAFramework, candidate: frozenset[str], state: State) -> bool:
     """No attack between visible members of the candidate."""
     vis = candidate & state.visible
-    return not any(a in vis and b in vis for (a, b) in fw.attacks)
+    return not any(fw.attackers[a] & vis for a in vis)
 
 
 def defends(fw: APAFramework, candidate: frozenset[str], arg: str, state: State) -> bool:
     """Whether `candidate`, used as a reference set, defends `arg` at
-    `state`. Invisible arguments are defended vacuously."""
-    if arg not in state.visible:
+    `state`: a visible candidate member attacks every visible attacker of
+    `arg` and every visible source of a convert act that drops it.
+    Invisible arguments are defended vacuously."""
+    visible = state.visible
+    if arg not in visible:
         return True
-    helpers = candidate & state.visible
-    for attacker in fw.attackers_of(state, arg):
-        if not any((h, attacker) in fw.attacks for h in helpers):
-            return False
-    # no elimination: no transition screened by the candidate itself may
-    # drop the argument. Firing a possible convert act (s, arg, t) with
-    # t != arg alone drops it, and every transition that drops it fires one.
-    return not any(
-        act.trigger == arg
-        and act.target != arg
-        and act.source in state.visible
-        and not any((h, act.source) in fw.attacks for h in helpers)
-        for act in fw.persuasions
-    )
+    helpers = candidate & visible
+    threats = (fw.attackers[arg] | fw.eliminators[arg]) & visible
+    return all(fw.attackers[t] & helpers for t in threats)
 
 
 def is_defended(fw: APAFramework, candidate: frozenset[str], state: State) -> bool:
     return all(defends(fw, candidate, a, state) for a in candidate)
 
 
-def is_proper(candidate: frozenset[str], state: State) -> bool:
-    return candidate <= state.visible
-
-
 @functools.lru_cache(maxsize=None)
 def is_admissible(fw: APAFramework, candidate: frozenset[str], state: State) -> bool:
     return (
-        is_proper(candidate, state)
+        candidate <= state.visible
         and is_conflict_free(fw, candidate, state)
         and is_defended(fw, candidate, state)
     )
+
+
+def characteristic(
+    fw: APAFramework, candidate: frozenset[str], state: State
+) -> frozenset[str]:
+    """The visible arguments that `candidate` defends at `state`."""
+    return frozenset(a for a in state.visible if defends(fw, candidate, a, state))
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,12 +82,8 @@ def is_complete(fw: APAFramework, candidate: frozenset[str], state: State) -> bo
     invisible argument by definition, so a literal closure would force
     invisible members and contradict properness.
     """
-    if not is_admissible(fw, candidate, state):
-        return False
-    return all(
-        a in candidate
-        for a in state.visible
-        if defends(fw, candidate, a, state)
+    return is_admissible(fw, candidate, state) and (
+        characteristic(fw, candidate, state) <= candidate
     )
 
 
@@ -121,17 +115,15 @@ def complete_sets(
 
 @functools.lru_cache(maxsize=None)
 def grounded_set(fw: APAFramework, state: State) -> frozenset[str]:
-    """The least fixpoint of R -> {visible a : R defends a}, iterated from
-    the empty set. Each iterate is admissible, so the fixpoint is the least
-    complete set, the intersection of all complete sets at `state`. Cached
-    per state like `complete_sets`, since `sem(gr, X)` atoms ask for it at
-    every state once per candidate set X."""
+    """The least fixpoint of `characteristic`, iterated from the empty set.
+    Each iterate is admissible, so the fixpoint is the least complete set,
+    the intersection of all complete sets at `state`. Cached per state like
+    `complete_sets`, since `sem(gr, X)` atoms ask for it at every state once
+    per candidate set X."""
     grounded = frozenset()
-    while True:
-        nxt = frozenset(a for a in state.visible if defends(fw, grounded, a, state))
-        if nxt == grounded:
-            return grounded
+    while (nxt := characteristic(fw, grounded, state)) != grounded:
         grounded = nxt
+    return grounded
 
 
 def holds(
@@ -151,7 +143,7 @@ def holds(
         )
     if label == "st":
         return is_admissible(fw, candidate, state) and all(
-            any((c, other) in fw.attacks for c in candidate)
+            fw.attackers[other] & candidate
             for other in state.visible - candidate
         )
     if label == "gr":

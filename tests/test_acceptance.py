@@ -9,7 +9,7 @@ import time
 
 from apa import ctl, dynamics, semantics
 from apa.cli import main as cli_main
-from apa.ctl import And, Not, Or, Query, Sigma, Temporal, label, parse_query
+from apa.ctl import And, Not, Or, Query, Sigma, Temporal, parse_query
 from apa.dynamics import ALL, SelectorFamily, reachable
 from apa.errors import TooLarge
 from apa.fileformat import parse_framework, print_framework
@@ -139,9 +139,10 @@ def test_c04_temporal_laws():
             ]
             for lhs, rhs in laws:
                 equiv = Or(And(lhs, rhs), And(Not(lhs), Not(rhs)))
-                lab = label(fw, Query(sets=query.sets, formula=equiv))
+                law = Query(sets=query.sets, formula=equiv)
+                lab = ctl.check(fw, law).labeling
                 assert all(
-                    lab.holds_at(equiv, s) for s in lab.lts.states
+                    s in lab.sat[equiv] for s in lab.lts.states
                 ), (case, lhs)
 
 
@@ -171,8 +172,10 @@ def test_c06_dung_coincidence():
                 )
             )
             init = fw.initial_state
+            vis = init.visible
             reference = dung_extensions_bruteforce(
-                fw.sort_args(init.visible), fw.induced_attacks(init)
+                fw.sort_args(vis),
+                {(a, b) for (a, b) in fw.attacks if a in vis and b in vis},
             )
             for which in semantics.LABELS:
                 assert set(semantics.extensions(fw, which, init)) == set(
@@ -211,9 +214,9 @@ def test_c07_oracle_equivalence():
                 reference = bounded_path_eval(fw, query, max_states=32)
             except TooLarge:
                 continue
-            lab = label(fw, query)
+            lab = ctl.check(fw, query).labeling
             for state, expected in reference.items():
-                assert lab.holds_at(query.formula, state) == expected, case
+                assert (state in lab.sat[query.formula]) == expected, case
 
 
 def test_c08_empty_refset_maximality():
@@ -226,7 +229,7 @@ def test_c08_empty_refset_maximality():
                 )
             )
             wildcard = reachable(fw, ALL)
-            empty_only = reachable(fw, SelectorFamily.of(set()))
+            empty_only = reachable(fw, SelectorFamily((frozenset(),)))
             assert set(wildcard.states) == set(empty_only.states), seed
             # every per-refset transition is an empty-refset transition
             n = len(fw.arguments)

@@ -50,7 +50,9 @@ def test_sigma_spec_all():
 
 def test_sigma_spec_literals():
     family = parse_sigma_spec("{a2},{},{a1,a3}")
-    assert family == SelectorFamily.of({"a2"}, set(), {"a1", "a3"})
+    assert family == SelectorFamily(
+        (frozenset({"a2"}), frozenset(), frozenset({"a1", "a3"}))
+    )
 
 
 def test_sigma_spec_garbage():
@@ -177,6 +179,37 @@ def test_non_utf8_files_exit_1(elma_file, tmp_path):
     q.write_bytes(b"formula: visible(caf\xe9)\n")
     code, _, err = run(["check", elma_file, str(q)])
     assert code == 1 and err.startswith("error:") and "UTF-8" in err
+
+
+def test_max_states_counts_initial_state(tmp_path):
+    # the initial state is a deadlock, so no successor ever meets the bound
+    path = tmp_path / "static.apa"
+    path.write_text("arguments: a\ninitial: a\n")
+    code, out, err = run(["states", str(path), "--max-states", "0"])
+    assert (code, out) == (1, "")
+    assert err == "error: reachable state count exceeds 0\n"
+    assert run(["states", str(path), "--max-states", "1"]) == (
+        0, "{a}  (initial, deadlock)\n", ""
+    )
+
+
+def test_check_literal_does_not_capture_declared_set(tmp_path):
+    fw = tmp_path / "ab.apa"
+    fw.write_text("arguments: a b\ninitial: a b\n")
+    q = tmp_path / "q.q"
+    q.write_text("set _s0 = {a}\nformula: in(a, {b}) | in(a, _s0)\n")
+    assert run(["check", str(fw), str(q)]) == (0, "true\n", "")
+
+
+def test_cli_import_leaves_query_engine_unloaded():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import apa.cli, sys; print('apa.ctl' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout == "False\n", proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from apa.ctl import (
     Until,
     Visible,
     check,
-    label,
     parse_query,
     print_query,
 )
@@ -140,6 +139,24 @@ def test_selector_literals_roundtrip():
     assert parse_query(text) == query
 
 
+DECLARED_S0 = "set _s0 = {a}\nformula: in(a, {b}) | in(a, _s0)\n"
+
+
+def test_inline_literal_skips_declared_names():
+    query = parse_query(DECLARED_S0)
+    bindings = query.bindings()
+    assert bindings["_s0"] == {"a"}
+    assert [bindings[n] for n in query.implicit] == [{"b"}]
+    fw = framework(["a", "b"], initial=["a", "b"])
+    assert check(fw, query).value is True
+
+
+def test_declared_literal_name_roundtrip():
+    query = parse_query(DECLARED_S0)
+    assert print_query(query) == DECLARED_S0
+    assert parse_query(print_query(query)) == query
+
+
 def test_wide_formula_labels_in_budget():
     """Distinct subformulas are collected in linear time: a balanced `&` of
     4,000 distinct atoms under EF is checked within 3 s."""
@@ -183,10 +200,10 @@ def elma_query(members, formula_text):
 def test_constants_label_everywhere(elma):
     for text, expect_all in (("true", True), ("false", False)):
         query = parse_query(f"formula: EF{{*}} {text}")
-        labeling = label(elma, query)
+        labeling = check(elma, query).labeling
         sub = query.formula.sub
         for state in labeling.lts.states:
-            assert labeling.holds_at(sub, state) is expect_all
+            assert (state in labeling.sat[sub]) is expect_all
 
 
 def test_example5_blocked_reference_set(elma):
@@ -197,35 +214,35 @@ def test_example5_blocked_reference_set(elma):
     assert result.value is True
     # the antecedent's EF is false: with a2 screening, nothing moves and
     # a5 never becomes visible
-    labeling = label(elma, query)
+    labeling = check(elma, query).labeling
     ef = query.formula.left.right
-    assert not labeling.holds_at(ef, labeling.lts.initial)
+    assert labeling.lts.initial not in labeling.sat[ef]
 
 
 def test_example5_free_reference_set(elma):
     query = elma_query(
         ["a5"], "(in(a5,A1) & EF{A1} sem(ad,A1)) -> !in(a2,A1)"
     )
-    labeling = label(elma, query)
+    labeling = check(elma, query).labeling
     ef = query.formula.left.right
-    assert labeling.holds_at(ef, labeling.lts.initial)
+    assert labeling.lts.initial in labeling.sat[ef]
     assert check(elma, query).value is True
 
 
 def test_in_labels_state_independent(elma):
     query = elma_query(["a2", "a5"], "EF{*} in(a2, A1)")
-    labeling = label(elma, query)
+    labeling = check(elma, query).labeling
     atom = query.formula.sub
     states = labeling.lts.states
-    assert all(labeling.holds_at(atom, s) for s in states)
+    assert all(s in labeling.sat[atom] for s in states)
 
 
 def test_visible_labels_track_states(elma):
     query = parse_query("formula: EF{*} visible(a5)")
-    labeling = label(elma, query)
+    labeling = check(elma, query).labeling
     atom = query.formula.sub
     for state in labeling.lts.states:
-        assert labeling.holds_at(atom, state) == ("a5" in state.visible)
+        assert (state in labeling.sat[atom]) == ("a5" in state.visible)
 
 
 def test_static_framework_ag(dung_ab):
@@ -273,15 +290,25 @@ def test_unknown_argument_in_query(elma):
         check(elma, parse_query("formula: visible(zz)"))
 
 
+def test_unknown_literal_member_named_by_members(elma):
+    with pytest.raises(UnknownName) as excinfo:
+        check(elma, parse_query("formula: in(a2, {a2,zz})"))
+    assert str(excinfo.value) == (
+        "set literal {a2,zz} mentions undeclared argument 'zz'"
+    )
+    with pytest.raises(UnknownName, match="set 'S' mentions"):
+        check(elma, parse_query("set S = {zz}\nformula: in(a2, S)"))
+
+
 def test_monotone_selector_families(oscillator):
     # a wider selector family can only add EF-reachability
     narrow = parse_query("set B = {a1}\nformula: EF{B} visible(a3)")
     wide = parse_query("set B = {a1}\nformula: EF{*} visible(a3)")
-    lab_n = label(oscillator, narrow)
-    lab_w = label(oscillator, wide)
+    lab_n = check(oscillator, narrow).labeling
+    lab_w = check(oscillator, wide).labeling
     for state in lab_w.lts.states:
-        if state in lab_n.lts.states and lab_n.holds_at(narrow.formula, state):
-            assert lab_w.holds_at(wide.formula, state)
+        if state in lab_n.lts.states and state in lab_n.sat[narrow.formula]:
+            assert state in lab_w.sat[wide.formula]
 
 
 # -- propositional laws on random instances ----------------------------------
@@ -290,11 +317,11 @@ def test_monotone_selector_families(oscillator):
 def both_sides(fw, query_sets, lhs, rhs):
     q1 = Query(sets=query_sets, formula=lhs)
     q2 = Query(sets=query_sets, formula=rhs)
-    l1, l2 = label(fw, q1), label(fw, q2)
+    l1, l2 = check(fw, q1).labeling, check(fw, q2).labeling
     states = set(l1.lts.states) & set(l2.lts.states)
     assert states
     return all(
-        l1.holds_at(lhs, s) == l2.holds_at(rhs, s) for s in states
+        (s in l1.sat[lhs]) == (s in l2.sat[rhs]) for s in states
     )
 
 

@@ -166,7 +166,7 @@ def test_reachable_elma_all(elma):
 
 
 def test_reachable_elma_blocking_selector(elma):
-    lts = reachable(elma, SelectorFamily.of({"a2", "a5"}))
+    lts = reachable(elma, SelectorFamily((frozenset({"a2", "a5"}),)))
     assert lts.states == (elma.initial_state,)
     assert lts.deadlocks == {elma.initial_state}
 
@@ -214,7 +214,7 @@ def test_state_count_bounded_by_powerset():
 
 
 def test_selector_indices_label_edges(elma):
-    family = SelectorFamily.of(set(), {"a2"})
+    family = SelectorFamily((frozenset(), frozenset({"a2"})))
     lts = reachable(elma, family)
     # selector 0 (empty refset) admits the act, selector 1 blocks it
     assert {(s.visible, i) for s, i, _ in lts.edges} == {
@@ -254,10 +254,10 @@ def test_edges_and_deadlocks_derive_from_tables():
                 n_convert=1 + seed % 4, seed=9000 + seed,
             )
         )
-        pick = lambda: {a for a in fw.arguments if rng.random() < 0.4}
+        pick = lambda: frozenset(a for a in fw.arguments if rng.random() < 0.4)
         for family in (
             ALL,
-            SelectorFamily.of(pick()),
-            SelectorFamily.of(pick(), set(), pick()),
+            SelectorFamily((pick(),)),
+            SelectorFamily((pick(), frozenset(), pick())),
         ):
             _derived_views_match_tables(reachable(fw, family))

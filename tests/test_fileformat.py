@@ -101,7 +101,7 @@ def test_dot_oscillator(oscillator):
 
 
 def test_dot_deterministic(oscillator):
-    family = SelectorFamily.of(set(), {"a1"})
+    family = SelectorFamily((frozenset(), frozenset({"a1"})))
     a = export_dot(reachable(oscillator, family))
     b = export_dot(reachable(oscillator, family))
     assert a == b

@@ -7,6 +7,7 @@ from apa.errors import (
     ValidationError,
 )
 from apa.model import PersuasionAct, State, framework
+from apa.semantics import defends
 
 
 def test_elma_framework_valid(elma):
@@ -47,20 +48,34 @@ def test_epsilon_cannot_be_declared():
         framework(["a", "~"])
 
 
-def test_induced_state_elma(elma):
-    state = elma.state(["a2", "a3", "a4"])
-    assert elma.induced_attacks(state) == {("a2", "a3")}
+def test_attackers_elma(elma):
+    assert elma.attackers == {
+        "a2": frozenset(), "a3": {"a2"}, "a4": frozenset(), "a5": frozenset(),
+    }
 
 
-def test_induced_state_alice(alice):
-    state = alice.state(["a1", "a2", "a3"])
-    assert alice.induced_attacks(state) == frozenset()
+def test_eliminators_elma(elma):
+    # convert act (a3, a4, a5): firing it drops a4
+    assert elma.eliminators["a4"] == {"a3"}
+    assert all(not elma.eliminators[a] for a in ("a2", "a3", "a5"))
+
+
+def test_relations_without_attacks(alice):
+    # two convert acts compete for trigger a1; nothing attacks anything
+    assert set(alice.attackers) == set(alice.arguments)
+    assert not any(alice.attackers.values())
+    assert alice.eliminators["a1"] == {"a2", "a3"}
 
 
 def test_induced_state_empty(elma):
     state = elma.state([])
     assert state.visible == frozenset()
-    assert elma.induced_attacks(state) == frozenset()
+    assert not any(elma.attackers[a] & state.visible for a in elma.arguments)
+
+
+def test_convert_to_itself_eliminates_nothing():
+    fw = framework(["s", "x", "y"], persuasions=[("s", "x", "x"), ("y", None, "x")])
+    assert fw.eliminators == {"s": frozenset(), "x": frozenset(), "y": frozenset()}
 
 
 def test_induced_state_idempotent(elma):
@@ -68,19 +83,13 @@ def test_induced_state_idempotent(elma):
     assert elma.state(state.visible) == state
 
 
-def test_attackers_of(elma):
-    initial = elma.initial_state
-    assert elma.attackers_of(initial, "a3") == {"a2"}
-    assert elma.attackers_of(initial, "a2") == frozenset()
-    # a2 invisible: no visible attacker of a3
-    assert elma.attackers_of(elma.state(["a3", "a4"]), "a3") == frozenset()
-
-
-def test_attackers_subset_of_visible(oscillator):
-    for visible in (["a1"], ["a1", "a2"], ["a1", "a2", "a3", "a4"]):
-        state = oscillator.state(visible)
-        for a in oscillator.arguments:
-            assert oscillator.attackers_of(state, a) <= state.visible
+def test_attackers_list_invisible_attackers(elma):
+    # the maps belong to the framework: a2 stays listed as the attacker of
+    # a3 at a state where a2 is invisible, and only the readers restrict it
+    state = elma.state(["a3", "a4"])
+    assert elma.attackers["a3"] == {"a2"}
+    assert elma.attackers["a3"] & state.visible == frozenset()
+    assert defends(elma, frozenset(), "a3", state)
 
 
 def test_state_equality_ignores_order():

@@ -93,11 +93,13 @@ def test_fold_and_elimination_agree_with_bruteforce():
             for refset in (frozenset(), random_refset(rng, fw)):
                 succ = successors_bruteforce(fw, refset, state)
                 assert dynamics.successor_states(fw, refset, state) == succ
-                helpers = refset & state.visible
-                for arg in state.visible:
+                vis = state.visible
+                helpers = refset & vis
+                for arg in vis:
                     answered = all(
                         any((h, b) in fw.attacks for h in helpers)
-                        for b in fw.attackers_of(state, arg)
+                        for (b, a) in fw.attacks
+                        if a == arg and b in vis
                     )
                     kept = all(arg in t.visible for t in succ)
                     decisive += answered and not kept
@@ -131,10 +133,10 @@ def test_bounded_eval_agrees_on_elma_queries(elma):
     ]
     for text in queries:
         query = ctl.parse_query(text)
-        labeling = ctl.label(elma, query)
+        labeling = ctl.check(elma, query).labeling
         reference = bounded_path_eval(elma, query)
         for state, expected in reference.items():
-            assert labeling.holds_at(query.formula, state) == expected, text
+            assert (state in labeling.sat[query.formula]) == expected, text
 
 
 def test_bounded_eval_state_guard():
@@ -158,9 +160,9 @@ def test_random_sweep_engine_vs_oracle():
             reference = bounded_path_eval(fw, query, max_states=32)
         except TooLarge:
             continue
-        labeling = ctl.label(fw, query)
+        labeling = ctl.check(fw, query).labeling
         for state, expected in reference.items():
-            assert labeling.holds_at(query.formula, state) == expected
+            assert (state in labeling.sat[query.formula]) == expected
 
 
 def test_instances_are_seed_deterministic():

@@ -154,8 +154,9 @@ def test_dung_coincidence_small():
             )
         )
         init = fw.initial_state
-        sub_args = fw.sort_args(init.visible)
-        sub_atk = fw.induced_attacks(init)
+        vis = init.visible
+        sub_args = fw.sort_args(vis)
+        sub_atk = {(a, b) for (a, b) in fw.attacks if a in vis and b in vis}
         reference = dung_extensions_bruteforce(sub_args, sub_atk)
         for label in semantics.LABELS:
             assert set(extensions(fw, label, init)) == set(reference[label])
