@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         if max_args:  # dot --annotate keeps the default
             p.add_argument("--max-args", type=int,
                            default=semantics.DEFAULT_MAX_ENUM_ARGS,
-                           help="override the extension-enumeration bound")
+                           help="override the extension-search bound")
         return p
 
     command("states", "list reachable states", cmd_states,

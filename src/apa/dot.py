@@ -22,8 +22,8 @@ def export_dot(lts: LTS, annotate_extensions: str | None = None) -> str:
     """Render `lts` as DOT text.
 
     When `annotate_extensions` names a semantics label, each node also
-    lists that label's extensions at the state (needs enumeration; only
-    use at desk scale).
+    lists that label's extensions at the state (a search bounded by the
+    default `--max-args`; only use at desk scale).
     """
     if annotate_extensions is not None and annotate_extensions not in LABELS:
         raise ValueError(f"unknown semantics label: {annotate_extensions!r}")

@@ -18,6 +18,7 @@ from .errors import (
     BadInitial,
     DuplicateArgument,
     UndeclaredArgument,
+    UnknownName,
     ValidationError,
     ValidationIssue,
 )
@@ -95,7 +96,13 @@ class APAFramework:
     # -- states ------------------------------------------------------------
 
     def state(self, visible: Iterable[str]) -> State:
-        return State(frozenset(visible))
+        """The state whose visible set is `visible`; every member must be a
+        declared argument."""
+        visible = frozenset(visible)
+        if not visible <= self._index.keys():
+            unknown = ", ".join(sorted(visible - self._index.keys()))
+            raise UnknownName(f"undeclared arguments in state: {unknown}")
+        return State(visible)
 
     @property
     def initial_state(self) -> State:

@@ -6,11 +6,14 @@ fixpoint machinery, so the optimized engines can be checked against them:
 
 * `dung_extensions_bruteforce` - classical static semantics by full subset
   enumeration (checks the semantics module on persuasion-free frameworks);
+* `extensions_bruteforce`      - the persuasion semantics at a state by
+  full subset enumeration, read off `attacks` and `persuasions` (checks
+  the semantics module's search; does not call into it);
 * `successors_bruteforce`      - transitions by iterating every nonempty
   act subset (checks the dynamics module; does not call into it);
 * `bounded_path_eval`          - temporal truth by depth-bounded path
-  recursion (checks the fixpoint model checker; shares only the AST and
-  the atom semantics, never the fixpoint code).
+  recursion, with `sem` atoms from `extensions_bruteforce` (checks the
+  fixpoint model checker and its atoms; shares only the AST with them).
 
 All randomness is seeded; a spec fully determines its instance.
 """
@@ -21,13 +24,13 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import semantics
 from .ctl import (
     And, Bottom, Exact, Formula, Implies, In, Not, Or, Query, Sem, Sigma,
     Temporal, Top, Until, Visible,
 )
 from .errors import TooLarge
 from .model import APAFramework, PersuasionAct, State, framework
+from .semantics import LABELS
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +84,65 @@ def dung_extensions_bruteforce(
         "st": tuple(stable),
         "gr": (grounded,),
     }
+
+
+# ---------------------------------------------------------------------------
+# Persuasion semantics at a state by enumeration
+
+
+def extensions_bruteforce(
+    fw: APAFramework, label: str, state: State
+) -> tuple[frozenset[str], ...]:
+    """The sets satisfying `label` at `state`, in canonical order (by size,
+    then declaration order), by testing every subset of the visible
+    arguments against the README's definitions."""
+    visible = fw.sort_args(state.visible)
+    if len(visible) > 12:
+        raise TooLarge("brute-force extension enumeration capped at 12 arguments")
+
+    def attacked_by(cand, arg):
+        return any((b, arg) in fw.attacks for b in cand)
+
+    def threats(arg):
+        attackers = [b for b in visible if (b, arg) in fw.attacks]
+        droppers = [
+            act.source for act in fw.persuasions
+            if act.trigger == arg and act.target != arg
+            and act.source in visible
+        ]
+        return attackers + droppers
+
+    def defends(cand, arg):
+        return all(attacked_by(cand, t) for t in threats(arg))
+
+    subsets = [
+        frozenset(c)
+        for r in range(len(visible) + 1)
+        for c in combinations(visible, r)
+    ]
+    admissible = [
+        c for c in subsets
+        if not any((a, b) in fw.attacks for a in c for b in c)
+        and all(defends(c, a) for a in c)
+    ]
+    if label == "ad":
+        return tuple(admissible)
+    if label == "pr":
+        return tuple(c for c in admissible if not any(c < d for d in admissible))
+    if label == "st":
+        return tuple(
+            c for c in admissible
+            if all(attacked_by(c, a) for a in visible if a not in c)
+        )
+    complete = [
+        c for c in admissible
+        if all(a in c for a in visible if defends(c, a))
+    ]
+    if label == "co":
+        return tuple(complete)
+    if label == "gr":
+        return (frozenset.intersection(*complete),)
+    raise ValueError(f"unknown semantics label: {label!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +289,7 @@ def bounded_path_eval(
         if isinstance(node, Visible):
             return node.arg in s.visible
         if isinstance(node, Sem):
-            return semantics.holds(fw, node.label, sets[node.setname], s)
+            return sets[node.setname] in extensions_bruteforce(fw, node.label, s)
         if isinstance(node, Exact):
             return sets[node.setname] == sets[node.operand]
         if isinstance(node, Not):
@@ -333,7 +395,7 @@ def random_formula(
         if kind == 2:
             return Visible(rng.choice(fw.arguments))
         if kind == 3:
-            return Sem(rng.choice(semantics.LABELS), rng.choice(setnames))
+            return Sem(rng.choice(LABELS), rng.choice(setnames))
         return Exact(rng.choice(setnames), rng.choice(setnames))
     sigma = random_sigma(rng, setnames)
     kind = rng.randrange(8)

@@ -13,25 +13,28 @@ restricted to visible arguments.
 Defence is monotone in the candidate, so Dung's fundamental lemma carries
 over: the grounded set is the least fixpoint of the characteristic
 function R -> {visible a : R defends a}, reached by iteration from the
-empty set without enumeration, and a stable set is an admissible set
-attacking every visible non-member (such a set is maximal admissible,
-hence preferred). `holds` is the one definition of each label;
-`extensions` filters the candidates through it. Listing the
-`ad`/`co`/`pr`/`st` extensions and testing `pr` enumerate the 2^|V|
-visible subsets, bounded by `max_args`.
+empty set, a preferred set is a maximal complete set, and a stable set is
+an admissible set attacking every visible non-member. `holds` is the one
+definition of each label for a given set. The `ad` and `co` extensions
+are listed by a pruned search that labels the visible arguments IN or
+OUT (`_search`), not by testing every visible subset; `pr` and `st` are
+filtered from the complete sets through `holds`. `max_args` bounds the
+visible arguments of a listing and of a `pr` test, since both search the
+complete sets; `gr` and the other membership tests are polynomial and
+unbounded.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .errors import TooLarge
 from .model import APAFramework, State
 
 LABELS = ("ad", "co", "pr", "st", "gr")
 
-#: Refuse 2^n candidate enumeration beyond this many visible arguments.
+#: Refuse to search for extensions beyond this many visible arguments: the
+#: number of extensions, and so the search, can grow as 2^n.
 DEFAULT_MAX_ENUM_ARGS = 20
 
 
@@ -87,30 +90,84 @@ def is_complete(fw: APAFramework, candidate: frozenset[str], state: State) -> bo
     )
 
 
-def _visible_subsets(fw: APAFramework, state: State, max_args: int):
-    """Every subset of the visible arguments, in canonical order (by size,
-    then declaration order); the one place that enumerates them."""
+def _search(
+    fw: APAFramework, state: State, max_args: int, complete: bool
+) -> tuple[frozenset[str], ...]:
+    """The admissible sets at `state` (with `complete`, the complete sets),
+    in canonical order: by size, then by declaration indices.
+
+    A depth-first search labels the visible arguments IN or OUT in
+    declaration order, on bit masks over that order. An argument goes IN
+    only if it is conflict-free with itself and with the IN set. A branch
+    is cut when some threat to an IN member has no attacker left that is
+    IN or undecided and conflict-free with the IN set, since no labelling
+    below it can defend that member. With `complete`, a branch is also cut
+    when the IN set defends an argument already OUT: defence is monotone,
+    so every IN set below it defends that argument too. Each leaf that
+    survives is an admissible (complete) IN set.
+    """
     if len(state.visible) > max_args:
         raise TooLarge(
             f"{len(state.visible)} visible arguments exceed the enumeration "
             f"bound of {max_args}"
         )
     vis = fw.sort_args(state.visible)
-    for r in range(len(vis) + 1):
-        for combo in itertools.combinations(vis, r):
-            yield frozenset(combo)
+    bit = {a: 1 << i for i, a in enumerate(vis)}
+
+    def mask(args: frozenset[str]) -> int:
+        return sum(bit[a] for a in args & state.visible)
+
+    attackers = [mask(fw.attackers[a]) for a in vis]
+    threats = [mask(fw.attackers[a] | fw.eliminators[a]) for a in vis]
+    # clash[i]: the visible arguments that attack, or are attacked by, i
+    clash = list(attackers)
+    for i, atk in enumerate(attackers):
+        for j in _members(atk):
+            clash[j] |= 1 << i
+
+    def defended(inn: int, i: int) -> bool:
+        return all(attackers[t] & inn for t in _members(threats[i]))
+
+    n = len(vis)
+    found = []
+    # (next index, IN, OUT, arguments clashing with IN, threats to IN)
+    stack = [(0, 0, 0, 0, 0)]
+    while stack:
+        k, inn, out, clashing, threatened = stack.pop()
+        helpers = inn | (~((1 << k) - 1) & ~clashing)
+        if not all(attackers[t] & helpers for t in _members(threatened)):
+            continue
+        if complete and any(defended(inn, o) for o in _members(out)):
+            continue
+        if k == n:
+            found.append(inn)
+            continue
+        b = 1 << k
+        stack.append((k + 1, inn, out | b, clashing, threatened))
+        if not clash[k] & (inn | b):
+            stack.append(
+                (k + 1, inn | b, out, clashing | clash[k], threatened | threats[k])
+            )
+    found.sort(key=lambda m: (m.bit_count(), list(_members(m))))
+    return tuple(frozenset(vis[i] for i in _members(m)) for m in found)
+
+
+def _members(mask: int):
+    """The bit positions set in `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @functools.lru_cache(maxsize=None)
 def complete_sets(
     fw: APAFramework, state: State, max_args: int = DEFAULT_MAX_ENUM_ARGS
 ) -> tuple[frozenset[str], ...]:
-    """All complete sets at `state`, in canonical order, by enumeration of
-    the subsets of the visible arguments (properness makes this total)."""
-    return tuple(
-        c for c in _visible_subsets(fw, state, max_args)
-        if is_complete(fw, c, state)
-    )
+    """All complete sets at `state`, in canonical order, from the pruned
+    search over the visible arguments, of which there may be at most
+    `max_args`."""
+    return _search(fw, state, max_args, complete=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,7 +188,8 @@ def holds(
     max_args: int = DEFAULT_MAX_ENUM_ARGS,
 ) -> bool:
     """Evaluate one of the five semantics labels for `candidate` at
-    `state`. Only `pr` enumerates, bounded by `max_args`."""
+    `state`. Only `pr` searches, for the complete sets at `state`, and so
+    only `pr` is bounded by `max_args`."""
     candidate = frozenset(candidate)
     if label == "ad":
         return is_admissible(fw, candidate, state)
@@ -156,15 +214,13 @@ def extensions(
     max_args: int = DEFAULT_MAX_ENUM_ARGS,
 ) -> tuple[frozenset[str], ...]:
     """All subsets of the visible set satisfying `label`, canonically
-    ordered. The grounded label yields exactly one candidate; every other
-    label enumerates, bounded by `max_args`."""
+    ordered (by size, then declaration order). The grounded label yields
+    exactly one candidate, the least fixpoint; every other label comes from
+    the pruned search, bounded by `max_args`."""
     if label == "gr":
         return (grounded_set(fw, state),)
     if label == "ad":
-        return tuple(
-            c for c in _visible_subsets(fw, state, max_args)
-            if is_admissible(fw, c, state)
-        )
+        return _search(fw, state, max_args, complete=False)
     if label in ("co", "pr", "st"):  # st <= pr <= co
         return tuple(
             c for c in complete_sets(fw, state, max_args)

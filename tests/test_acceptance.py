@@ -13,7 +13,7 @@ from apa.ctl import And, Not, Or, Query, Sigma, Temporal, parse_query
 from apa.dynamics import ALL, SelectorFamily, reachable
 from apa.errors import TooLarge
 from apa.fileformat import parse_framework, print_framework
-from apa.model import State
+from apa.model import State, framework
 from apa.oracle import (
     RandomInstanceSpec,
     bounded_path_eval,
@@ -256,6 +256,22 @@ def test_c09_scale_enumeration():
         lts = reachable(fw, ALL, max_states=4096)
         assert len(lts.states) == 108  # frozen from the first run
         assert len(lts.states) <= 4096
+
+
+def test_extensions_of_30_argument_chain_by_search():
+    # a 30-argument attack chain a1 -> a2 -> ... -> a30 has 2^30 visible
+    # subsets, so only a search that prunes can list its extensions in time
+    with budget("extensions of a 30-argument chain", 5.0):
+        names = [f"a{i}" for i in range(1, 31)]
+        fw = framework(names, attacks=zip(names, names[1:]), initial=names)
+        state = fw.initial_state
+        odd = names[::2]
+        prefixes = tuple(frozenset(odd[:k]) for k in range(16))
+        assert semantics.extensions(fw, "ad", state, max_args=30) == prefixes
+        for label in ("co", "pr", "st", "gr"):
+            assert semantics.extensions(fw, label, state, max_args=30) == (
+                frozenset(odd),
+            ), label
 
 
 def test_c10_roundtrips_and_exit_codes(tmp_path):

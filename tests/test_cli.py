@@ -108,7 +108,7 @@ def test_semantics_unknown_argument(elma_file):
         ["semantics", elma_file, "--state", "zz", "--which", "ad"]
     )
     assert code == 1
-    assert "zz" in err
+    assert err == "error: unknown arguments in --state: zz\n"
 
 
 def test_check_true(elma_file, tmp_path):

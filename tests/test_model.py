@@ -1,9 +1,11 @@
 import pytest
 
 from apa.errors import (
+    ApaError,
     BadInitial,
     DuplicateArgument,
     UndeclaredArgument,
+    UnknownName,
     ValidationError,
 )
 from apa.model import PersuasionAct, State, framework
@@ -90,6 +92,14 @@ def test_attackers_list_invisible_attackers(elma):
     assert elma.attackers["a3"] == {"a2"}
     assert elma.attackers["a3"] & state.visible == frozenset()
     assert defends(elma, frozenset(), "a3", state)
+
+
+def test_state_rejects_undeclared_arguments(elma):
+    with pytest.raises(UnknownName, match="zz, zz2") as exc:
+        elma.state(["a2", "zz2", "zz"])
+    assert isinstance(exc.value, ApaError)
+    assert "a2" not in str(exc.value)
+    assert elma.state(["a4", "a2"]) == State(frozenset(["a2", "a4"]))
 
 
 def test_state_equality_ignores_order():

@@ -4,11 +4,12 @@ import pytest
 
 from apa import semantics
 from apa.dynamics import ALL, reachable
-from apa.errors import TooLarge
+from apa.errors import TooLarge, UnknownName
 from apa.model import State, framework
 from apa.oracle import (
     RandomInstanceSpec,
     dung_extensions_bruteforce,
+    extensions_bruteforce,
     random_framework,
 )
 from apa.semantics import (
@@ -108,6 +109,28 @@ def test_grounded_extension_unique(elma, oscillator):
             assert len(extensions(fw, "gr", state)) == 1
 
 
+def test_eliminator_as_the_only_threat(elma):
+    # a4 has no attacker; the convert act a3 : a4 => a5 is its one threat,
+    # answered only by a2's attack on a3
+    init = elma.initial_state
+    assert not elma.attackers["a4"] and elma.eliminators["a4"] == fs("a3")
+    assert extensions(elma, "ad", init) == (fs(), fs("a2"), fs("a2", "a4"))
+    for label in ("co", "pr", "st", "gr"):
+        assert extensions(elma, label, init) == (fs("a2", "a4"),), label
+    # without a2 nothing answers a3, so no set holding a4 is admissible
+    state = elma.state(["a3", "a4"])
+    assert extensions(elma, "ad", state) == (fs(), fs("a3"))
+    assert extensions(elma, "co", state) == (fs("a3"),)
+    assert extensions(elma, "st", state) == ()
+
+
+def test_undeclared_state_members_rejected(elma):
+    with pytest.raises(UnknownName, match="zz"):
+        holds(elma, "ad", fs("zz"), elma.state(["zz"]))
+    with pytest.raises(UnknownName, match="zz"):
+        extensions(elma, "ad", elma.state(["a2", "zz"]))
+
+
 def test_enumeration_bound():
     fw = framework([f"a{i}" for i in range(25)], initial=[f"a{i}" for i in range(25)])
     with pytest.raises(TooLarge):
@@ -172,9 +195,11 @@ def test_admissibility_not_preserved_by_transition(elma):
 
 
 def test_holds_agrees_with_extensions_on_random_instances():
-    # one definition per label: each listed extension, and 3 random subsets
-    # of the visible set, satisfy `holds` exactly when they are listed; the
-    # least fixpoint of defence is the intersection of the complete sets
+    # the c03 sweep: at every reachable state, each label's extensions
+    # equal the brute-force reference's, order included, and each listed
+    # extension and 3 random subsets of the visible set satisfy `holds`
+    # exactly when they are listed (so `sem(pr, X)` agrees with the
+    # reference too)
     for seed in range(500):
         fw = random_framework(
             RandomInstanceSpec(
@@ -193,20 +218,10 @@ def test_holds_agrees_with_extensions_on_random_instances():
             ]
             for label in semantics.LABELS:
                 exts = extensions(fw, label, state)
+                assert exts == extensions_bruteforce(fw, label, state), (
+                    seed, state, label,
+                )
                 for cand in list(exts) + randoms:
                     assert holds(fw, label, cand, state) == (cand in exts), (
                         seed, state, label, cand,
                     )
-            # stable by its textbook definition: preferred and attacking
-            # every visible non-member
-            assert extensions(fw, "st", state) == tuple(
-                c for c in extensions(fw, "pr", state)
-                if all(
-                    any((m, other) in fw.attacks for m in c)
-                    for other in state.visible - c
-                )
-            ), (seed, state)
-            cos = complete_sets(fw, state)
-            assert grounded_set(fw, state) == frozenset.intersection(*cos), (
-                seed, state,
-            )
