@@ -23,7 +23,7 @@ import sys
 from . import dynamics, semantics
 from .dot import export_dot, selector_label
 from .dynamics import SelectorFamily
-from .errors import ApaError
+from .errors import ApaError, UnknownName
 from .fileformat import parse_framework
 from .model import APAFramework, State
 
@@ -132,10 +132,13 @@ def cmd_transitions(args, out) -> int:
 def cmd_semantics(args, out) -> int:
     fw = parse_framework(_read(args.file))
     members = [t for t in args.state.replace(",", " ").split() if t]
-    unknown = [t for t in members if t not in fw.arguments]
-    if unknown:
-        raise ApaError(f"unknown arguments in --state: {', '.join(unknown)}")
-    state = fw.state(members)
+    try:
+        state = fw.state(members)
+    except UnknownName as exc:  # listed as typed
+        unknown = [t for t in members if t in exc.names]
+        raise ApaError(
+            f"unknown arguments in --state: {', '.join(unknown)}"
+        ) from None
     exts = semantics.extensions(fw, args.which, state, args.max_args)
     if args.json:
         doc = {

@@ -59,7 +59,12 @@ class QuerySyntaxError(ApaError):
 
 
 class UnknownName(ApaError):
-    """A query token does not resolve to a declared argument or set."""
+    """A query token or state member does not resolve to a declared
+    argument or set; `names` holds the unresolved tokens when known."""
+
+    def __init__(self, message: str, names: tuple[str, ...] = ()):
+        self.names = names
+        super().__init__(message)
 
 
 class UnknownSelector(ApaError):

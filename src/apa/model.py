@@ -100,8 +100,10 @@ class APAFramework:
         declared argument."""
         visible = frozenset(visible)
         if not visible <= self._index.keys():
-            unknown = ", ".join(sorted(visible - self._index.keys()))
-            raise UnknownName(f"undeclared arguments in state: {unknown}")
+            unknown = tuple(sorted(visible - self._index.keys()))
+            raise UnknownName(
+                f"undeclared arguments in state: {', '.join(unknown)}", unknown
+            )
         return State(visible)
 
     @property

@@ -221,7 +221,9 @@ def extensions(
         return (grounded_set(fw, state),)
     if label == "ad":
         return _search(fw, state, max_args, complete=False)
-    if label in ("co", "pr", "st"):  # st <= pr <= co
+    if label == "co":
+        return complete_sets(fw, state, max_args)
+    if label in ("pr", "st"):  # st <= pr <= co
         return tuple(
             c for c in complete_sets(fw, state, max_args)
             if holds(fw, label, c, state, max_args)

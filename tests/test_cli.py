@@ -111,6 +111,14 @@ def test_semantics_unknown_argument(elma_file):
     assert err == "error: unknown arguments in --state: zz\n"
 
 
+def test_semantics_unknown_arguments_listed_as_typed(elma_file):
+    code, out, err = run(
+        ["semantics", elma_file, "--state", "zz2,a2 zz", "--which", "ad"]
+    )
+    assert code == 1 and out == ""
+    assert err == "error: unknown arguments in --state: zz2, zz\n"
+
+
 def test_check_true(elma_file, tmp_path):
     q = tmp_path / "q.apa"
     q.write_text(QUERY_TRUE)

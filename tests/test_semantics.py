@@ -195,11 +195,12 @@ def test_admissibility_not_preserved_by_transition(elma):
 
 
 def test_holds_agrees_with_extensions_on_random_instances():
-    # the c03 sweep: at every reachable state, each label's extensions
-    # equal the brute-force reference's, order included, and each listed
-    # extension and 3 random subsets of the visible set satisfy `holds`
-    # exactly when they are listed (so `sem(pr, X)` agrees with the
-    # reference too)
+    # the c03 sweep: at every reachable state, the complete sets the search
+    # returns and each label's extensions equal the brute-force reference's,
+    # order included, and each listed extension and 3 random subsets of the
+    # visible set satisfy `holds` exactly when they are listed (so
+    # `sem(pr, X)` agrees with the reference too); the least fixpoint of
+    # defence is the intersection of the complete sets
     for seed in range(500):
         fw = random_framework(
             RandomInstanceSpec(
@@ -216,6 +217,8 @@ def test_holds_agrees_with_extensions_on_random_instances():
             randoms = [
                 frozenset(a for a in vis if rng.random() < 0.5) for _ in range(3)
             ]
+            cos = complete_sets(fw, state)
+            assert cos == extensions_bruteforce(fw, "co", state), (seed, state)
             for label in semantics.LABELS:
                 exts = extensions(fw, label, state)
                 assert exts == extensions_bruteforce(fw, label, state), (
@@ -225,3 +228,15 @@ def test_holds_agrees_with_extensions_on_random_instances():
                     assert holds(fw, label, cand, state) == (cand in exts), (
                         seed, state, label, cand,
                     )
+            # stable by its textbook definition: preferred and attacking
+            # every visible non-member
+            assert extensions(fw, "st", state) == tuple(
+                c for c in extensions(fw, "pr", state)
+                if all(
+                    any((m, other) in fw.attacks for m in c)
+                    for other in state.visible - c
+                )
+            ), (seed, state)
+            assert grounded_set(fw, state) == frozenset.intersection(*cos), (
+                seed, state,
+            )
