@@ -109,14 +109,11 @@ def test_semantics_unknown_argument(elma_file):
     )
     assert code == 1
     assert err == "error: unknown arguments in --state: zz\n"
-
-
-def test_semantics_unknown_arguments_listed_as_typed(elma_file):
     code, out, err = run(
         ["semantics", elma_file, "--state", "zz2,a2 zz", "--which", "ad"]
     )
     assert code == 1 and out == ""
-    assert err == "error: unknown arguments in --state: zz2, zz\n"
+    assert err == "error: unknown arguments in --state: zz2, zz\n"  # as typed
 
 
 def test_check_true(elma_file, tmp_path):

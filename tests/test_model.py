@@ -98,6 +98,7 @@ def test_state_rejects_undeclared_arguments(elma):
     with pytest.raises(UnknownName, match="zz, zz2") as exc:
         elma.state(["a2", "zz2", "zz"])
     assert isinstance(exc.value, ApaError)
+    assert exc.value.names == ("zz", "zz2")
     assert "a2" not in str(exc.value)
     assert elma.state(["a4", "a2"]) == State(frozenset(["a2", "a4"]))
 
