@@ -22,7 +22,7 @@ import sys
 
 from . import dynamics, semantics
 from .dot import export_dot, selector_label
-from .dynamics import SelectorFamily
+from .dynamics import ALL, SelectorFamily
 from .errors import ApaError, UnknownName
 from .fileformat import parse_framework
 from .model import APAFramework, State
@@ -32,7 +32,7 @@ _SIGMA_RE = re.compile(r"\{([^{}]*)\}")
 
 def parse_sigma_spec(spec: str) -> SelectorFamily:
     if spec == "all":
-        return SelectorFamily.wildcard()
+        return ALL
     rest = _SIGMA_RE.sub("", spec).replace(",", "").strip()
     if rest:
         raise ApaError(

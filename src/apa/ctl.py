@@ -11,19 +11,23 @@ superscript `{Name,...}` or `{*}`; until is written `A{S}[p U q]` /
 `E{S}[p U q]`. Atoms: `true`, `false`, `in(arg, Set)`, `sem(ad|co|pr|st|gr,
 Set)`, `visible(arg)` and the macro `exact(Set, Set)`. An inline `{a,b}`
 literal may stand for a set operand or a selector; it binds a fresh name.
+In the AST a selector is a tuple of set names, or None for `{*}`.
 
 Temporal operators range over transitions whose reference set is drawn
 from their own selector family; a state with no outgoing edge for a family
 is given an implicit stutter self-loop, making the relation total so the
 classical fixpoint algorithms apply. `F` operators are reflexive (the
-current state counts as a future state).
+current state counts as a future state). Every temporal operator is
+labelled through its dual over EX, EU and EG, and the counterexample of a
+universal operator is the witness of its existential dual on the
+complement.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import dynamics, semantics
 from .dynamics import LTS, SelectorFamily
@@ -32,13 +36,8 @@ from .model import APAFramework, State
 
 SEMANTICS_LABELS = set(semantics.LABELS)
 UNARY_TEMPORAL = ("AX", "EX", "AF", "EF", "AG", "EG")
-RESERVED = {
-    "set", "formula", "true", "false", "in", "sem", "visible", "exact",
-    "A", "E", *UNARY_TEMPORAL,
-}
-#: Deepest formula the parser accepts. The AST is processed recursively
-#: (hashing, labeling, printing), so depth must stay well below Python's
-#: recursion limit.
+#: Deepest formula the parser accepts. Parsing, printing and hashing the AST
+#: recurse, so depth must stay well below Python's recursion limit.
 MAX_NESTING = 100
 
 
@@ -109,15 +108,8 @@ class Implies(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
-class Sigma:
-    """Selector superscript: a tuple of set names, or None for `{*}`."""
-
-    names: tuple[str, ...] | None
-
-    @property
-    def is_wildcard(self) -> bool:
-        return self.names is None
+#: Selector superscript: a tuple of set names, or None for `{*}`.
+Sigma = tuple[str, ...] | None
 
 
 @dataclass(frozen=True)
@@ -146,6 +138,30 @@ class Query:
 
     def bindings(self) -> dict[str, frozenset[str]]:
         return dict(self.sets)
+
+
+#: Atom syntax, read by the parser, the printer and the name check: node
+#: class -> (keyword, operand kinds in field order). An operand is an
+#: argument name ("argname"), a set name or inline literal ("setref") or a
+#: semantics label ("label"); the parser reads each with `parse_<kind>`.
+_ATOMS = {
+    Top: ("true", ()),
+    Bottom: ("false", ()),
+    In: ("in", ("argname", "setref")),
+    Sem: ("sem", ("label", "setref")),
+    Visible: ("visible", ("argname",)),
+    Exact: ("exact", ("setref", "setref")),
+}
+_ATOM_CLASSES = {keyword: cls for cls, (keyword, _) in _ATOMS.items()}
+RESERVED = {"set", "formula", *_ATOM_CLASSES, "A", "E", *UNARY_TEMPORAL}
+
+
+def _operands(node: Formula) -> list[tuple[str, str]]:
+    """(kind, value) of each operand of an atom node, in field order; none
+    for any other node."""
+    kinds = _ATOMS.get(type(node), ("", ()))[1]
+    values = (getattr(node, f.name) for f in fields(node))
+    return list(zip(kinds, values))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +367,7 @@ class _Parser:
         if self.at("*"):
             self.advance()
             self.expect("}")
-            return Sigma(None)
+            return None
         names = []
         while not self.at("}"):
             tok = self.cur
@@ -370,7 +386,7 @@ class _Parser:
         self.expect("}")
         if not names:
             self.error("empty selector list")
-        return Sigma(tuple(names))
+        return tuple(names)
 
     def parse_atom(self) -> Formula:
         tok = self.cur
@@ -381,51 +397,32 @@ class _Parser:
             return node
         if tok.kind != "name":
             self.error(f"expected a formula, found {tok.text!r}")
-        if tok.text == "true":
-            self.advance()
-            return Top()
-        if tok.text == "false":
-            self.advance()
-            return Bottom()
-        if tok.text == "in":
-            self.advance()
-            self.expect("(")
-            arg = self.parse_argname()
-            self.expect(",")
-            setname = self.parse_setref()
-            self.expect(")")
-            return In(arg, setname)
-        if tok.text == "sem":
-            self.advance()
-            self.expect("(")
-            label = self.cur
-            if label.kind != "name" or label.text not in SEMANTICS_LABELS:
-                self.error("expected one of ad, co, pr, st, gr")
-            self.advance()
-            self.expect(",")
-            setname = self.parse_setref()
-            self.expect(")")
-            return Sem(label.text, setname)
-        if tok.text == "visible":
-            self.advance()
-            self.expect("(")
-            arg = self.parse_argname()
-            self.expect(")")
-            return Visible(arg)
-        if tok.text == "exact":
-            self.advance()
-            self.expect("(")
-            setname = self.parse_setref()
-            self.expect(",")
-            operand = self.parse_setref()
-            self.expect(")")
-            return Exact(setname, operand)
-        self.error(f"unknown construct {tok.text!r}")
+        cls = _ATOM_CLASSES.get(tok.text)
+        if cls is None:
+            self.error(f"unknown construct {tok.text!r}")
+        self.advance()
+        kinds = _ATOMS[cls][1]
+        if not kinds:
+            return cls()
+        self.expect("(")
+        operands = []
+        for kind in kinds:
+            if operands:
+                self.expect(",")
+            operands.append(getattr(self, f"parse_{kind}")())
+        self.expect(")")
+        return cls(*operands)
 
     def parse_argname(self) -> str:
         tok = self.cur
         if tok.kind != "name":
             self.error("expected an argument name")
+        return self.advance().text
+
+    def parse_label(self) -> str:
+        tok = self.cur
+        if tok.kind != "name" or tok.text not in SEMANTICS_LABELS:
+            self.error("expected one of ad, co, pr, st, gr")
         return self.advance().text
 
 
@@ -468,9 +465,9 @@ def print_formula(node: Formula, query: Query) -> str:
     """Render a formula back to concrete syntax (reparses to an equal AST)."""
 
     def sigma(sig: Sigma) -> str:
-        if sig.is_wildcard:
+        if sig is None:
             return "{*}"
-        return "{" + ",".join(_print_setref(n, query) for n in sig.names) + "}"
+        return "{" + ",".join(_print_setref(n, query) for n in sig) + "}"
 
     def wrap(sub: Formula, limit: int) -> str:
         text = render(sub)
@@ -479,21 +476,13 @@ def print_formula(node: Formula, query: Query) -> str:
         return text
 
     def render(n: Formula) -> str:
-        if isinstance(n, Top):
-            return "true"
-        if isinstance(n, Bottom):
-            return "false"
-        if isinstance(n, In):
-            return f"in({n.arg}, {_print_setref(n.setname, query)})"
-        if isinstance(n, Sem):
-            return f"sem({n.label}, {_print_setref(n.setname, query)})"
-        if isinstance(n, Visible):
-            return f"visible({n.arg})"
-        if isinstance(n, Exact):
-            return (
-                f"exact({_print_setref(n.setname, query)}, "
-                f"{_print_setref(n.operand, query)})"
-            )
+        if type(n) in _ATOMS:
+            keyword = _ATOMS[type(n)][0]
+            operands = [
+                _print_setref(value, query) if kind == "setref" else value
+                for kind, value in _operands(n)
+            ]
+            return f"{keyword}({', '.join(operands)})" if operands else keyword
         if isinstance(n, Not):
             return "!" + wrap(n.sub, 3)
         if isinstance(n, And):
@@ -547,20 +536,11 @@ def _subformulas(root: Formula) -> list[Formula]:
     return list(order)
 
 
-@dataclass(eq=False)
-class Labeling:
-    """Result of a labeling pass: per-(subformula, state) truth values.
-
-    Immutable by convention once returned; safe to share across queries.
-    """
-
-    lts: LTS
-    query: Query
-    sat: dict[Formula, frozenset[State]]
-
-
-def _resolve_sets(fw: APAFramework, query: Query) -> dict[str, frozenset[str]]:
-    """The query's bindings, each checked against the framework."""
+def _resolve_names(
+    fw: APAFramework, query: Query, order: list[Formula]
+) -> dict[str, frozenset[str]]:
+    """The query's bindings, once every set member and every argument
+    operand of the subformulas in `order` is checked against `fw`."""
     declared = set(fw.arguments)
     for name, members in query.sets:
         unknown = sorted(members - declared)
@@ -572,11 +552,26 @@ def _resolve_sets(fw: APAFramework, query: Query) -> dict[str, frozenset[str]]:
             raise UnknownName(
                 f"set {shown} mentions undeclared argument {unknown[0]!r}"
             )
+    for node in order:
+        for kind, value in _operands(node):
+            if kind == "argname" and value not in declared:
+                raise UnknownName(f"undeclared argument {value!r} in query")
     return query.bindings()
 
 
-class _Engine:
-    """One labeling pass over the union LTS of all mentioned selectors."""
+#: The universal unary operators as negated existential ones on the
+#: complement: AX p = !EX !p, AF p = !EG !p, AG p = !EF !p.
+_EXISTENTIAL_DUAL = {"AX": "EX", "AF": "EG", "AG": "EF"}
+
+
+class Labeling:
+    """One labelling pass over the union LTS of every selector family the
+    query mentions: `sat` maps each subformula to the states where it holds.
+
+    The query's names are checked against the framework before any state
+    is explored. Immutable by convention once built; safe to share across
+    queries.
+    """
 
     def __init__(
         self,
@@ -585,36 +580,36 @@ class _Engine:
         max_states: int = dynamics.DEFAULT_MAX_STATES,
         max_args: int = semantics.DEFAULT_MAX_ENUM_ARGS,
     ):
-        self.fw = fw
-        self.query = query
-        self.max_args = max_args
-        self.sets = _resolve_sets(fw, query)
-
-        self.order = _subformulas(query.formula)
-        sigma_refsets: dict[Sigma, tuple[frozenset[str], ...]] = {}
-        for node in self.order:
-            if isinstance(node, (Temporal, Until)):
-                sigma = node.sigma
-                if sigma.is_wildcard:
-                    refsets = (frozenset(),)  # wildcard == empty reference set
-                else:
-                    refsets = tuple(self.sets[n] for n in sigma.names)
-                sigma_refsets[sigma] = refsets
-        selectors = {r: None for rs in sigma_refsets.values() for r in rs}
+        order = _subformulas(query.formula)
+        sets = _resolve_names(fw, query, order)
+        refsets = {
+            node.sigma: SelectorFamily(
+                None if node.sigma is None
+                else tuple(sets[n] for n in node.sigma)
+            ).effective
+            for node in order
+            if isinstance(node, (Temporal, Until))
+        }
+        selectors = {r: None for rs in refsets.values() for r in rs}
         index = {r: i for i, r in enumerate(selectors)}
-        family = SelectorFamily(tuple(selectors))
-        self.lts = dynamics.reachable(fw, family, max_states=max_states)
-        self.states = frozenset(self.lts.states)
+        self.lts: LTS = dynamics.reachable(
+            fw, SelectorFamily(tuple(selectors)), max_states=max_states
+        )
+        self.query = query
+        self.everywhere = frozenset(self.lts.states)
 
         # successor maps per selector family, stutter-completed
         self._succ: dict[Sigma, dict[State, frozenset[State]]] = {}
-        for sigma, refsets in sigma_refsets.items():
-            ids = {index[r] for r in refsets}
-            table = {}
-            for s in self.lts.states:
-                succs = self.lts.successors_of(s, ids)
-                table[s] = succs if succs else frozenset([s])
-            self._succ[sigma] = table
+        for sigma, rs in refsets.items():
+            ids = {index[r] for r in rs}
+            self._succ[sigma] = {
+                s: self.lts.successors_of(s, ids) or frozenset([s])
+                for s in self.lts.states
+            }
+
+        self.sat: dict[Formula, frozenset[State]] = {}
+        for node in order:
+            self.sat[node] = self._label(node, sets, max_args)
 
     def successors(self, sigma: Sigma, state: State) -> frozenset[State]:
         return self._succ[sigma][state]
@@ -623,12 +618,7 @@ class _Engine:
 
     def ex(self, sigma: Sigma, sat: frozenset[State]) -> frozenset[State]:
         return frozenset(
-            s for s in self.states if self.successors(sigma, s) & sat
-        )
-
-    def ax(self, sigma: Sigma, sat: frozenset[State]) -> frozenset[State]:
-        return frozenset(
-            s for s in self.states if self.successors(sigma, s) <= sat
+            s for s in self.everywhere if self.successors(sigma, s) & sat
         )
 
     def eg(self, sigma: Sigma, sat: frozenset[State]) -> frozenset[State]:
@@ -649,7 +639,7 @@ class _Engine:
         changed = True
         while changed:
             changed = False
-            for s in self.states:
+            for s in self.everywhere:
                 if s in current or s not in left:
                     continue
                 if self.successors(sigma, s) & current:
@@ -657,38 +647,49 @@ class _Engine:
                     changed = True
         return frozenset(current)
 
+    def dual(self, node: Temporal | Until) -> tuple[bool, tuple[tuple, ...]]:
+        """A temporal node as (universal, alternatives), each alternative
+        one of ("EX", target), ("EU", through, target) and ("EG", target).
+        The node holds where some alternative holds, or, when universal,
+        where none does (Clarke, Emerson & Sistla 1986)."""
+        everywhere = self.everywhere
+        if isinstance(node, Until):
+            left, right = self.sat[node.left], self.sat[node.right]
+            if node.quant == "E":
+                return False, (("EU", left, right),)
+            # A[l U r] == !(E[!r U (!l & !r)] | EG !r)
+            not_r = everywhere - right
+            return True, (("EU", not_r, not_r - left), ("EG", not_r))
+        op, target = node.op, self.sat[node.sub]
+        universal = op in _EXISTENTIAL_DUAL
+        if universal:
+            op, target = _EXISTENTIAL_DUAL[op], everywhere - target
+        if op == "EF":
+            return universal, (("EU", everywhere, target),)
+        return universal, ((op, target),)
+
     # -- node evaluation --------------------------------------------------
 
-    def label(self) -> Labeling:
-        sat: dict[Formula, frozenset[State]] = {}
-        for node in self.order:
-            sat[node] = self.eval_node(node, sat)
-        return Labeling(lts=self.lts, query=self.query, sat=sat)
-
-    def eval_node(
-        self, node: Formula, sat: dict[Formula, frozenset[State]]
+    def _label(
+        self, node: Formula, sets: dict[str, frozenset[str]], max_args: int
     ) -> frozenset[State]:
-        everywhere = self.states
-        nowhere = frozenset()
+        everywhere, nowhere, sat = self.everywhere, frozenset(), self.sat
         if isinstance(node, Top):
             return everywhere
         if isinstance(node, Bottom):
             return nowhere
         if isinstance(node, In):
-            self._check_arg(node.arg)
-            return everywhere if node.arg in self.sets[node.setname] else nowhere
+            return everywhere if node.arg in sets[node.setname] else nowhere
         if isinstance(node, Visible):
-            self._check_arg(node.arg)
-            return frozenset(s for s in self.states if node.arg in s.visible)
+            return frozenset(s for s in everywhere if node.arg in s.visible)
         if isinstance(node, Sem):
-            cand = self.sets[node.setname]
+            fw, cand = self.lts.framework, sets[node.setname]
             return frozenset(
-                s
-                for s in self.states
-                if semantics.holds(self.fw, node.label, cand, s, self.max_args)
+                s for s in everywhere
+                if semantics.holds(fw, node.label, cand, s, max_args)
             )
         if isinstance(node, Exact):
-            same = self.sets[node.setname] == self.sets[node.operand]
+            same = sets[node.setname] == sets[node.operand]
             return everywhere if same else nowhere
         if isinstance(node, Not):
             return everywhere - sat[node.sub]
@@ -698,36 +699,15 @@ class _Engine:
             return sat[node.left] | sat[node.right]
         if isinstance(node, Implies):
             return (everywhere - sat[node.left]) | sat[node.right]
-        if isinstance(node, Temporal):
-            sub = sat[node.sub]
-            sigma = node.sigma
-            if node.op == "EX":
-                return self.ex(sigma, sub)
-            if node.op == "AX":
-                return self.ax(sigma, sub)
-            if node.op == "EF":
-                return self.eu(sigma, everywhere, sub)
-            if node.op == "AG":
-                return everywhere - self.eu(sigma, everywhere, everywhere - sub)
-            if node.op == "EG":
-                return self.eg(sigma, sub)
-            if node.op == "AF":
-                return everywhere - self.eg(sigma, everywhere - sub)
-        if isinstance(node, Until):
-            left, right = sat[node.left], sat[node.right]
-            sigma = node.sigma
-            if node.quant == "E":
-                return self.eu(sigma, left, right)
-            # A[l U r] == !(E[!r U (!l & !r)] | EG !r)
-            not_l = self.states - left
-            not_r = self.states - right
-            bad = self.eu(sigma, not_r, not_l & not_r) | self.eg(sigma, not_r)
-            return self.states - bad
+        if isinstance(node, (Temporal, Until)):
+            fixpoint = {"EX": self.ex, "EU": self.eu, "EG": self.eg}
+            universal, alternatives = self.dual(node)
+            holds = frozenset().union(
+                *(fixpoint[kind](node.sigma, *operands)
+                  for kind, *operands in alternatives)
+            )
+            return everywhere - holds if universal else holds
         raise TypeError(f"not a formula node: {node!r}")
-
-    def _check_arg(self, arg: str) -> None:
-        if arg not in self.fw.arguments:
-            raise UnknownName(f"undeclared argument {arg!r} in query")
 
 
 # ---------------------------------------------------------------------------
@@ -768,31 +748,26 @@ def _extend_to_lasso(
         current = nxt
 
 
-def _witness_path(
-    engine: _Engine, labeling: Labeling, node: Formula
-) -> Lasso | None:
+def _witness_path(labeling: Labeling, node: Formula) -> Lasso | None:
     """A lasso justifying a true existential / refuting a false universal
-    top-level temporal formula. The counterexample of a universal operator
-    is the witness of its existential dual on complemented sets: AX, AF, AG
-    are refuted by EX, EG, EF of the complement, and A[l U r] by
-    E[!r U (!l & !r)], else by EG !r."""
-    if isinstance(node, Temporal):
-        existential = node.op.startswith("E")
-    elif isinstance(node, Until):
-        existential = node.quant == "E"
-    else:
+    top-level temporal formula: the lasso of the first alternative of the
+    node's dual that holds at the initial state."""
+    if not isinstance(node, (Temporal, Until)):
         return None
+    universal, alternatives = labeling.dual(node)
     init = labeling.lts.initial
-    sat = labeling.sat
-    if (init in sat[node]) != existential:
+    if (init in labeling.sat[node]) == universal:
         return None
-    everywhere = engine.states
     sigma = node.sigma
-    state_key = engine.fw.state_key
-    succ = lambda s: sorted(engine.successors(sigma, s), key=state_key)
+    state_key = labeling.lts.framework.state_key
+    succ = lambda s: sorted(labeling.successors(sigma, s), key=state_key)
 
-    def reach(
-        targets: frozenset[State], through: frozenset[State]
+    def ex(target: frozenset[State]) -> Lasso | None:
+        step = [t for t in succ(init) if t in target]
+        return _extend_to_lasso([init, step[0]], succ) if step else None
+
+    def eu(
+        through: frozenset[State], targets: frozenset[State]
     ) -> Lasso | None:
         """A lasso starting with the shortest selector-path from init to a
         target that passes through `through`-states before arrival; None
@@ -818,29 +793,18 @@ def _witness_path(
                     queue.append(t)
         return None
 
-    def ex(target: frozenset[State]) -> Lasso | None:
-        step = [t for t in succ(init) if t in target]
-        return _extend_to_lasso([init, step[0]], succ) if step else None
-
-    def ef(target: frozenset[State]) -> Lasso | None:
-        return reach(target, everywhere)
-
     def eg(target: frozenset[State]) -> Lasso | None:
-        good = engine.eg(sigma, target)
+        good = labeling.eg(sigma, target)
         if init not in good:
             return None
         return _extend_to_lasso([init], succ, within=good)
 
-    if isinstance(node, Until):
-        left, right = sat[node.left], sat[node.right]
-        if existential:
-            return reach(right, left)
-        not_l, not_r = everywhere - left, everywhere - right
-        return reach(not_l & not_r, not_r) or eg(not_r)
-    sub = sat[node.sub]
-    if existential:
-        return {"EX": ex, "EF": ef, "EG": eg}[node.op](sub)
-    return {"AX": ex, "AF": eg, "AG": ef}[node.op](everywhere - sub)
+    lassos = {"EX": ex, "EU": eu, "EG": eg}
+    for kind, *operands in alternatives:
+        lasso = lassos[kind](*operands)
+        if lasso is not None:
+            return lasso
+    return None
 
 
 def check(
@@ -851,8 +815,7 @@ def check(
 ) -> CheckResult:
     """Truth of the query at the initial state, with a lasso witness for a
     true existential / false universal top-level temporal formula."""
-    engine = _Engine(fw, query, max_states, max_args)
-    labeling = engine.label()
+    labeling = Labeling(fw, query, max_states, max_args)
     value = labeling.lts.initial in labeling.sat[query.formula]
-    witness = _witness_path(engine, labeling, query.formula)
+    witness = _witness_path(labeling, query.formula)
     return CheckResult(value=value, witness=witness, labeling=labeling)

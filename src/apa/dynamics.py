@@ -34,10 +34,6 @@ class SelectorFamily:
 
     selectors: tuple[frozenset[str], ...] | None = None
 
-    @classmethod
-    def wildcard(cls) -> "SelectorFamily":
-        return cls(None)
-
     @property
     def is_wildcard(self) -> bool:
         return self.selectors is None
@@ -50,7 +46,7 @@ class SelectorFamily:
         return self.selectors
 
 
-ALL = SelectorFamily.wildcard()
+ALL = SelectorFamily(None)
 
 
 @dataclass(frozen=True)

@@ -85,11 +85,11 @@ def print_framework(fw: APAFramework) -> str:
     for a, b in sorted(fw.attacks, key=key):
         lines.append(f"attack: {a} -> {b}")
     induces = sorted(
-        (act for act in fw.persuasions if act.is_induce),
+        (act for act in fw.persuasions if act.trigger is None),
         key=lambda act: (fw.index(act.source), fw.index(act.target)),
     )
     converts = sorted(
-        (act for act in fw.persuasions if act.is_convert),
+        (act for act in fw.persuasions if act.trigger is not None),
         key=lambda act: (
             fw.index(act.source), fw.index(act.trigger), fw.index(act.target)
         ),

@@ -41,14 +41,6 @@ class PersuasionAct:
     trigger: str | None
     target: str
 
-    @property
-    def is_induce(self) -> bool:
-        return self.trigger is None
-
-    @property
-    def is_convert(self) -> bool:
-        return self.trigger is not None
-
 
 @dataclass(frozen=True)
 class State:

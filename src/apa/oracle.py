@@ -227,9 +227,9 @@ def bounded_path_eval(
     sets = query.bindings()
 
     def sigma_refsets(sigma: Sigma) -> tuple[frozenset[str], ...]:
-        if sigma.is_wildcard:
+        if sigma is None:
             return (frozenset(),)
-        return tuple(sets[n] for n in sigma.names)
+        return tuple(sets[n] for n in sigma)
 
     all_sigmas: list[Sigma] = []
 
@@ -419,9 +419,9 @@ def random_formula(
 
 def random_sigma(rng: random.Random, setnames: tuple[str, ...]) -> Sigma:
     if rng.random() < 0.3:
-        return Sigma(None)
+        return None
     count = rng.randrange(1, min(3, len(setnames)) + 1)
-    return Sigma(tuple(rng.sample(setnames, count)))
+    return tuple(rng.sample(setnames, count))
 
 
 def random_query(

@@ -9,7 +9,7 @@ import time
 
 from apa import ctl, dynamics, semantics
 from apa.cli import main as cli_main
-from apa.ctl import And, Not, Or, Query, Sigma, Temporal, parse_query
+from apa.ctl import And, Not, Or, Query, Temporal, parse_query
 from apa.dynamics import ALL, SelectorFamily, reachable
 from apa.errors import TooLarge
 from apa.fileformat import parse_framework, print_framework
@@ -122,7 +122,7 @@ def test_c04_temporal_laws():
             )
             query = random_query(rng, fw, n_sets=2, depth=4)
             phi = query.formula
-            sigma = Sigma(("S1",)) if case % 2 else Sigma(None)
+            sigma = ("S1",) if case % 2 else None
             laws = [
                 # dualities
                 (Not(Temporal("AF", sigma, phi)), Temporal("EG", sigma, Not(phi))),

@@ -15,7 +15,6 @@ from apa.ctl import (
     Or,
     Query,
     Sem,
-    Sigma,
     Temporal,
     Top,
     Until,
@@ -26,7 +25,13 @@ from apa.ctl import (
 )
 from apa.errors import QuerySyntaxError, TooLarge, UnknownName, UnknownSelector
 from apa.model import State, framework
-from apa.oracle import RandomInstanceSpec, random_framework, random_query
+from apa.oracle import (
+    RandomInstanceSpec,
+    random_formula,
+    random_framework,
+    random_query,
+    random_sigma,
+)
 
 EXAMPLE_QUERY = """
 # household persuasion query
@@ -44,7 +49,7 @@ def test_parse_example_query():
     formula = query.formula
     assert isinstance(formula, Implies)
     assert formula.left == And(
-        In("a5", "A1"), Temporal("EF", Sigma(("A1",)), Sem("ad", "A1"))
+        In("a5", "A1"), Temporal("EF", ("A1",), Sem("ad", "A1"))
     )
     assert formula.right == Not(In("a2", "A1"))
 
@@ -57,7 +62,7 @@ def test_parse_constants_and_precedence():
 def test_parse_until_and_wildcard():
     query = parse_query("set S = {a}\nformula: E{*}[visible(a) U sem(gr, S)]")
     assert query.formula == Until(
-        "E", Sigma(None), Visible("a"), Sem("gr", "S")
+        "E", None, Visible("a"), Sem("gr", "S")
     )
 
 
@@ -114,7 +119,7 @@ def test_unknown_selector():
 
 def test_selector_literals_parse():
     query = parse_query("set S = {a2}\nformula: EF{{a2},{},S} true")
-    names = query.formula.sigma.names
+    names = query.formula.sigma
     bindings = query.bindings()
     assert [bindings[n] for n in names] == [
         frozenset(["a2"]), frozenset(), frozenset(["a2"])
@@ -275,19 +280,27 @@ def test_oscillation_oscillator(oscillator):
     assert check(oscillator, parse_query(text)).value is True
 
 
-def test_too_large_lts():
-    fw = framework(
+def fan_out():
+    """One induce act from a0 to each of eight arguments: 2^7 states."""
+    return framework(
         [f"a{i}" for i in range(8)],
         persuasions=[("a0", None, f"a{j}") for j in range(8)],
         initial=["a0"],
     )
+
+
+def test_too_large_lts():
     with pytest.raises(TooLarge):
-        check(fw, parse_query("formula: EF{*} true"), max_states=4)
+        check(fan_out(), parse_query("formula: EF{*} true"), max_states=4)
 
 
 def test_unknown_argument_in_query(elma):
     with pytest.raises(UnknownName):
         check(elma, parse_query("formula: visible(zz)"))
+    # names are checked before any state is explored
+    with pytest.raises(UnknownName, match="undeclared argument 'zz'"):
+        query = parse_query("formula: EF{*} visible(zz)")
+        check(fan_out(), query, max_states=4)
 
 
 def test_unknown_literal_member_named_by_members(elma):
@@ -333,7 +346,7 @@ def test_duality_and_expansion_laws_sample():
         )
         query = random_query(rng, fw, n_sets=2, depth=2)
         phi = query.formula
-        sigma = Sigma(("S1",))
+        sigma = ("S1",)
         laws = [
             (Not(Temporal("AF", sigma, phi)), Temporal("EG", sigma, Not(phi))),
             (Not(Temporal("EF", sigma, phi)), Temporal("AG", sigma, Not(phi))),
@@ -353,13 +366,12 @@ def test_duality_and_expansion_laws_sample():
 # -- witnesses ---------------------------------------------------------------
 
 
-def assert_lasso_valid(fw, labeling, lasso, sigma):
+def assert_lasso_valid(labeling, lasso, sigma):
     states = list(lasso.prefix) + list(lasso.cycle)
     assert states[0] == labeling.lts.initial
-    engine = ctl._Engine(fw, labeling.query)
     seq = states + [lasso.cycle[0]]
     for a, b in zip(seq, seq[1:]):
-        assert b in engine.successors(sigma, a)
+        assert b in labeling.successors(sigma, a)
 
 
 def test_ef_witness(elma):
@@ -368,7 +380,73 @@ def test_ef_witness(elma):
     assert result.value and result.witness is not None
     states = list(result.witness.prefix) + list(result.witness.cycle)
     assert any("a5" in s.visible for s in states)
-    assert_lasso_valid(elma, result.labeling, result.witness, query.formula.sigma)
+    assert_lasso_valid(result.labeling, result.witness, query.formula.sigma)
+
+
+def until(path, left, right):
+    """Some state of `path` is in `right`, every state before it in `left`."""
+    return any(
+        s in right and all(p in left for p in path[:i])
+        for i, s in enumerate(path)
+    )
+
+
+def lasso_proves(op, path, everywhere, left, right):
+    """Whether the lasso states `path` (its back-edge target appended) prove
+    the verdict of `op` on operands labelled `left` (and `right` for U):
+    a true existential, or a false universal through its dual on the
+    complements."""
+    not_l, not_r = everywhere - left, everywhere - right
+    return {
+        "EX": lambda: path[1] in left,
+        "AX": lambda: path[1] in not_l,
+        "EF": lambda: any(s in left for s in path),
+        "AF": lambda: all(s in not_l for s in path),
+        "EG": lambda: all(s in left for s in path),
+        "AG": lambda: any(s in not_l for s in path),
+        "E": lambda: until(path, left, right),
+        "A": lambda: (
+            until(path, not_r, not_l & not_r) or all(s in not_r for s in path)
+        ),
+    }[op]()
+
+
+def test_witnesses_prove_their_verdicts():
+    """Every temporal operator over random operands: a lasso comes exactly
+    with a true existential or a false universal, it follows the operator's
+    selector family from the initial state, and the operands' labels prove
+    the verdict along it."""
+    rng = random.Random(808)
+    lassos = dict.fromkeys(("EX", "AX", "EF", "AF", "EG", "AG", "E", "A"), 0)
+    for case in range(150):
+        fw = random_framework(
+            RandomInstanceSpec(
+                n_args=2 + case % 3, n_induce=1, n_convert=2, seed=70000 + case
+            )
+        )
+        query = random_query(rng, fw, n_sets=2, depth=3)
+        names = tuple(name for name, _ in query.sets)
+        phi, psi = query.formula, random_formula(rng, fw, names, 3)
+        sigma = random_sigma(rng, names)
+        for op in lassos:
+            if op in ("A", "E"):
+                node = Until(op, sigma, phi, psi)
+            else:
+                node = Temporal(op, sigma, phi)
+            result = check(fw, Query(sets=query.sets, formula=node))
+            labeling, lasso = result.labeling, result.witness
+            assert (lasso is not None) == (result.value != (op[0] == "A"))
+            if lasso is None:
+                continue
+            lassos[op] += 1
+            assert_lasso_valid(labeling, lasso, sigma)
+            path = lasso.prefix + lasso.cycle + lasso.cycle[:1]
+            everywhere = frozenset(labeling.lts.states)
+            sat = labeling.sat
+            right = sat[psi] if op in ("A", "E") else everywhere
+            proved = lasso_proves(op, path, everywhere, sat[phi], right)
+            assert proved, (case, op)
+    assert all(lassos.values()), lassos
 
 
 def test_ag_counterexample(elma):

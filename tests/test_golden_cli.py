@@ -8,7 +8,9 @@ before the LTS stored its transition relation only as per-selector tables:
 
     PYTHONPATH=src python3 tests/test_golden_cli.py
 
-which prints the `GOLDEN` table below. Regenerate it the same way only for
+which prints the `GOLDEN` table below. The `af-hidden` and `eu-hidden`
+cases were added, the same way, before the query engine stated the CTL
+duality in one table. Regenerate it the same way only for
 an intended change of the output format, and say so in CHANGES.md.
 """
 
@@ -50,6 +52,8 @@ QUERIES = {
     ),
     "ax-hidden": "formula: AX{{*}} !visible({a})\n",
     "ex-complete": "formula: EX{{*}} sem(co, {{{a}}})\n",
+    "af-hidden": "formula: AF{{*}} !visible(a2)\n",
+    "eu-hidden": "formula: E{{*}}[visible(a2) U !visible({a})]\n",
 }
 
 COMMANDS = {
@@ -106,6 +110,8 @@ GOLDEN = {
     "elma/check-au-grounded": "0bbcb0a5461dfb858d937f773a1b8bd795a6f7f488cad97791437048adec6d95",
     "elma/check-ax-hidden": "0bbcb0a5461dfb858d937f773a1b8bd795a6f7f488cad97791437048adec6d95",
     "elma/check-ex-complete": "e1ac191aecd1bef8a1e5d711121097b0c58b11911afa98fdaee18d61642c24ce",
+    "elma/check-af-hidden": "0bbcb0a5461dfb858d937f773a1b8bd795a6f7f488cad97791437048adec6d95",
+    "elma/check-eu-hidden": "e407c1fa4e9469ef57a5dd2b8d3dd471f51b29784265970905c7e71a8084b831",
     "oscillator/states": "6d4ded7f45c2d231de73459c6bbef0c25fd6ffda4f06bf6b59939b2f637ff995",
     "oscillator/states-json": "8d06c5c94486d1cebecaaee4f7917069b515395565045f76348bfba97c5b1e9b",
     "oscillator/transitions": "dbeed1b161e51cd5b0de0552dd2fdcf89bb66ee71df8dc5ba1e230799e8b37e3",
@@ -122,6 +128,8 @@ GOLDEN = {
     "oscillator/check-au-grounded": "d9ade764b7be1e9708f9416d69d9aa7be16520e947f485c1a8eceb66094cadbf",
     "oscillator/check-ax-hidden": "d9ade764b7be1e9708f9416d69d9aa7be16520e947f485c1a8eceb66094cadbf",
     "oscillator/check-ex-complete": "e1ac191aecd1bef8a1e5d711121097b0c58b11911afa98fdaee18d61642c24ce",
+    "oscillator/check-af-hidden": "0d7117c0e14dc398d7d7ccbf0d1947bd9f7148d457a890e0f9715ffbca212b0c",
+    "oscillator/check-eu-hidden": "56ceaba7f39ec62dbb10da8d2b37d8dba19ac3b2b8f4a42653be5dbf93ef583d",
     "random12/states": "13fb45982f31e978ae64cc0ed6a1bcbb68a17f225c9a44e120176940cde9b483",
     "random12/states-json": "53e7a9f2c2436c73168ba0ebcf3888dacc3887d01c6ad7a58ab8dbe9f0970272",
     "random12/transitions": "ba8b0e042e2ab33babff7d6cc05b882bd624ff5f0b00710bbad6d52468b7ee30",
@@ -138,6 +146,8 @@ GOLDEN = {
     "random12/check-au-grounded": "362dd4df396da7dac2afea004bc14b8854fcba63904a1604749576af6f6c989a",
     "random12/check-ax-hidden": "362dd4df396da7dac2afea004bc14b8854fcba63904a1604749576af6f6c989a",
     "random12/check-ex-complete": "e1ac191aecd1bef8a1e5d711121097b0c58b11911afa98fdaee18d61642c24ce",
+    "random12/check-af-hidden": "28a59258ec8580eb456206c7107902a2a905bd15fcebb17212820c8cd4ef4d04",
+    "random12/check-eu-hidden": "1dc446bfab78bc08953865d13d0bc303d14ad2a22abf300a9db3ebe44ed61731",
 }
 
 
