@@ -101,31 +101,30 @@ def cmd_states(args, out) -> int:
 def cmd_transitions(args, out) -> int:
     fw = parse_framework(_read(args.file))
     lts = dynamics.reachable(fw, _sigma_family(fw, args.sigma), args.max_states)
+    # each state's members are sorted once, not once per edge end
     if args.json:
+        members = {s: _state_doc(fw, s) for s in lts.states}
         doc = {
             "edges": [
                 {
-                    "from": _state_doc(fw, src),
+                    "from": members[src],
                     "selector": sel,
                     "refset": (
                         None
                         if lts.family.is_wildcard
                         else list(fw.sort_args(lts.family.effective[sel]))
                     ),
-                    "to": _state_doc(fw, dst),
+                    "to": members[dst],
                 }
                 for src, sel, dst in lts.edges
             ]
         }
         print(json.dumps(doc, sort_keys=True), file=out)
         return 0
+    names = {s: fw.format_set(s.visible) for s in lts.states}
     for src, sel, dst in lts.edges:
         label = f"#{sel} {selector_label(lts, sel)}"
-        print(
-            f"{fw.format_set(src.visible)} -[{label}]-> "
-            f"{fw.format_set(dst.visible)}",
-            file=out,
-        )
+        print(f"{names[src]} -[{label}]-> {names[dst]}", file=out)
     return 0
 
 

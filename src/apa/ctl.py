@@ -454,20 +454,21 @@ def _height(node: Formula) -> int:
 _PRECEDENCE = {Implies: 1, Or: 2, And: 3}
 
 
-def _print_setref(name: str, query: Query) -> str:
-    if name in query.implicit:
-        members = dict(query.sets)[name]
-        return "{" + ",".join(sorted(members)) + "}"
-    return name
+def _print_literal(members: frozenset[str]) -> str:
+    return "{" + ",".join(sorted(members)) + "}"
 
 
 def print_formula(node: Formula, query: Query) -> str:
     """Render a formula back to concrete syntax (reparses to an equal AST)."""
+    bound = query.bindings()
+
+    def setref(name: str) -> str:
+        return _print_literal(bound[name]) if name in query.implicit else name
 
     def sigma(sig: Sigma) -> str:
         if sig is None:
             return "{*}"
-        return "{" + ",".join(_print_setref(n, query) for n in sig) + "}"
+        return "{" + ",".join(setref(n) for n in sig) + "}"
 
     def wrap(sub: Formula, limit: int) -> str:
         text = render(sub)
@@ -479,7 +480,7 @@ def print_formula(node: Formula, query: Query) -> str:
         if type(n) in _ATOMS:
             keyword = _ATOMS[type(n)][0]
             operands = [
-                _print_setref(value, query) if kind == "setref" else value
+                setref(value) if kind == "setref" else value
                 for kind, value in _operands(n)
             ]
             return f"{keyword}({', '.join(operands)})" if operands else keyword
@@ -546,7 +547,7 @@ def _resolve_names(
         unknown = sorted(members - declared)
         if unknown:
             shown = (
-                "literal " + _print_setref(name, query)
+                "literal " + _print_literal(members)
                 if name in query.implicit else repr(name)
             )
             raise UnknownName(

@@ -6,6 +6,15 @@ and no visible member of the reference set attacks the source. Any nonempty
 subset of the possible acts may fire at once, dropping the triggers that
 were converted and making every target visible; an argument both dropped
 and (re)made visible in the same step stays visible (the effects offset).
+
+Successors are computed on `int` bit masks over the declaration order
+(`APAFramework.masks`). Two possible acts are linked when they share a
+trigger or target argument; sources do not link them, since screening
+reads only the state before the step. Each connected group of acts is
+folded on its own, and the successors are the product of the groups'
+outcomes. The product is exact because the groups touch disjoint
+arguments: which of a group's arguments end up visible depends only on
+which of its own acts fire. `State` stays the type callers see.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import TooLarge
-from .model import APAFramework, PersuasionAct, State
+from .model import APAFramework, PersuasionAct, State, bit_positions
 
 #: Hard ceiling on explicit state enumeration (overridable per call).
 DEFAULT_MAX_STATES = 4096
@@ -104,6 +113,23 @@ def possible_acts(
     )
 
 
+def _groups(moves) -> list[list[tuple[int, int]]]:
+    """Split (drop, add) masks into connected groups: two moves are linked
+    when they share a bit, so no two groups touch the same argument."""
+    groups: list[tuple[int, list[tuple[int, int]]]] = []
+    for move in moves:
+        touched, group, rest = move[0] | move[1], [move], []
+        for g in groups:
+            if g[0] & touched:
+                touched |= g[0]
+                group += g[1]
+            else:
+                rest.append(g)
+        rest.append((touched, group))
+        groups = rest
+    return [group for _, group in groups]
+
+
 @functools.lru_cache(maxsize=None)
 def successor_states(
     fw: APAFramework, refset: frozenset[str], state: State
@@ -111,23 +137,47 @@ def successor_states(
     """Distinct successor states of `state` under `refset` (memoized; all
     inputs immutable).
 
-    The possible acts are folded in one at a time over the effects of the
-    act subsets seen so far, keyed (dropped - added, added). Subsets with
-    the same key lead to the same state whatever acts join them later, so
-    the keys are deduplicated after each act. Only the empty subset has
-    the key (empty, empty), since every act adds its target.
+    The possible acts are split into groups linked by a shared trigger or
+    target argument (`_groups` on the framework's act masks). Within a
+    group the acts are folded in one at a time over the effects of the act
+    subsets seen so far, as (dropped & ~added, added) mask pairs. Subsets
+    with the same pair lead to the same state whatever acts join them
+    later, so the pairs are deduplicated after each act; only the empty
+    subset has the pair (0, 0), since every act adds its target. The
+    groups touch disjoint arguments, so a subset's effect is the union of
+    its parts' effects, each group's bits depend only on its own part, and
+    the successors are exactly the product of the groups' outcomes. The
+    product leaves out only the combination where no group fires: a
+    nonempty subset can still leave a group as it was (an induce whose
+    target is visible), and then the state itself is a successor.
     """
-    none = frozenset()
-    effects = {(none, none)}
-    for act in possible_acts(fw, refset, state):
-        dropped = none if act.trigger is None else frozenset([act.trigger])
-        target = frozenset([act.target])
-        effects |= {
-            ((d | dropped) - (a | target), a | target) for d, a in effects
-        }
-    effects.discard((none, none))
-    visible = state.visible
-    return frozenset(State((visible - d) | a) for d, a in effects)
+    bit, moves = fw.masks
+    vis = 0
+    for a in state.visible:
+        vis |= bit[a]
+    hidden = ~vis
+    flips = {0}  # the arguments a combination of group outcomes toggles
+    idle = False  # some group has a nonempty subset that changes nothing
+    for group in _groups(moves[act] for act in possible_acts(fw, refset, state)):
+        effects = {(0, 0)}
+        for drop, add in group:
+            effects |= {((d | drop) & ~(a | add), a | add) for d, a in effects}
+        effects.discard((0, 0))
+        # triggers are visible, so the toggled bits are the dropped ones
+        # and the added ones that were hidden
+        changes = {d | a & hidden for d, a in effects}
+        idle = idle or 0 in changes
+        changes.add(0)
+        flips = {f | c for f in flips for c in changes}
+    if not idle:
+        flips.discard(0)
+    args = fw.arguments
+    # copied from a set, a frozenset's table is sized to its members; built
+    # by `^` or one member at a time it can be twice as large
+    return frozenset(
+        State(frozenset({args[i] for i in bit_positions(vis ^ f)}))
+        for f in flips
+    )
 
 
 def reachable(

@@ -5,7 +5,8 @@ which every set-valued output in the package is sorted by. A state is a
 value object identified solely by its visible set. A set defends a
 visible argument when it counter-attacks every visible threat to it: each
 attacker of the argument, and each source of a convert act that drops it.
-A framework derives both relations once, as `attackers` and `eliminators`.
+A framework derives both relations once, as `attackers` and `eliminators`,
+and the bit masks that successors are computed on once, as `masks`.
 """
 
 from __future__ import annotations
@@ -118,8 +119,30 @@ class APAFramework:
                  if act.trigger not in (None, act.target))
         return _sources_by_target(self.arguments, drops)
 
+    # -- bit masks over the declaration order -----------------------------
+
+    @functools.cached_property
+    def masks(self) -> tuple[dict[str, int], dict[PersuasionAct, tuple[int, int]]]:
+        """`(bit, moves)`: `bit[a]` is `1 << index(a)`, and `moves[act]`
+        the (drop, add) masks of an act: its trigger (none for an induce
+        act) and its target."""
+        bit = {a: 1 << i for i, a in enumerate(self.arguments)}
+        moves = {
+            act: (0 if act.trigger is None else bit[act.trigger], bit[act.target])
+            for act in self.persuasions
+        }
+        return bit, moves
+
     def format_set(self, args: Iterable[str]) -> str:
         return "{" + ",".join(self.sort_args(args)) + "}"
+
+
+def bit_positions(mask: int):
+    """The bit positions set in `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _sources_by_target(

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 
 from .errors import TooLarge
-from .model import APAFramework, State
+from .model import APAFramework, State, bit_positions
 
 LABELS = ("ad", "co", "pr", "st", "gr")
 
@@ -122,11 +122,11 @@ def _search(
     # clash[i]: the visible arguments that attack, or are attacked by, i
     clash = list(attackers)
     for i, atk in enumerate(attackers):
-        for j in _members(atk):
+        for j in bit_positions(atk):
             clash[j] |= 1 << i
 
     def defended(inn: int, i: int) -> bool:
-        return all(attackers[t] & inn for t in _members(threats[i]))
+        return all(attackers[t] & inn for t in bit_positions(threats[i]))
 
     n = len(vis)
     found = []
@@ -135,9 +135,9 @@ def _search(
     while stack:
         k, inn, out, clashing, threatened = stack.pop()
         helpers = inn | (~((1 << k) - 1) & ~clashing)
-        if not all(attackers[t] & helpers for t in _members(threatened)):
+        if not all(attackers[t] & helpers for t in bit_positions(threatened)):
             continue
-        if complete and any(defended(inn, o) for o in _members(out)):
+        if complete and any(defended(inn, o) for o in bit_positions(out)):
             continue
         if k == n:
             found.append(inn)
@@ -148,16 +148,8 @@ def _search(
             stack.append(
                 (k + 1, inn | b, out, clashing | clash[k], threatened | threats[k])
             )
-    found.sort(key=lambda m: (m.bit_count(), list(_members(m))))
-    return tuple(frozenset(vis[i] for i in _members(m)) for m in found)
-
-
-def _members(mask: int):
-    """The bit positions set in `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    found.sort(key=lambda m: (m.bit_count(), list(bit_positions(m))))
+    return tuple(frozenset(vis[i] for i in bit_positions(m)) for m in found)
 
 
 @functools.lru_cache(maxsize=None)

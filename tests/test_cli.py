@@ -316,19 +316,34 @@ def test_admissible_listing_still_bounded(wide_file):
 
 
 def test_benchmark_trace_hooks_resolve(elma_file, tmp_path):
-    """The benchmark's traced run wraps functions by name; a renamed hook
-    must fail here rather than in a benchmark run."""
+    """The benchmark's traced run wraps functions by name; a renamed hook,
+    or reachability that no longer expands states through the wrapped
+    `successor_states`, must fail here rather than in a benchmark run."""
     root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def traced(*argv):
+        spans = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "apa_traced.py"),
+             str(spans), "--", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode in (0, 2), proc.stderr
+        return proc.stdout, json.loads(spans.read_text())["spans"]
+
     q = tmp_path / "q.q"
     q.write_text(QUERY_TRUE)
-    spans = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "apa_traced.py"), str(spans),
-         "--", "check", elma_file, str(q)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode in (0, 2), proc.stderr
-    names = {span[1] for span in json.loads(spans.read_text())["spans"]}
+    _, spans = traced("check", elma_file, str(q))
+    names = {span[1] for span in spans}
     assert "ctl.check" in names
     assert any(n.startswith("semantics.holds.") for n in names), names
+
+    # one wildcard selector: every listed state is expanded once, inside
+    # the one `reachable` call
+    out, spans = traced("states", elma_file)
+    name = {span[0]: span[1] for span in spans}
+    (reach,) = [i for i, n in name.items() if n == "dynamics.reachable"]
+    expansions = [s for s in spans if s[1] == "dynamics.successor_states"]
+    assert len(expansions) == len(out.splitlines()) == 2
+    assert all(s[4] == reach for s in expansions)

@@ -12,7 +12,12 @@ from apa.dynamics import (
 )
 from apa.errors import TooLarge
 from apa.model import PersuasionAct, State, framework
-from apa.oracle import RandomInstanceSpec, random_framework
+from apa.oracle import (
+    RandomInstanceSpec,
+    random_framework,
+    random_refset,
+    successors_bruteforce,
+)
 
 ELMA_ACT = PersuasionAct("a3", "a4", "a5")
 
@@ -150,6 +155,87 @@ def test_successor_visibility_accounting():
         for succ in successor_states(fw, frozenset(), state):
             assert succ.visible <= state.visible | targets
             assert state.visible - succ.visible <= triggers
+
+
+#: Every shape the grouped fold must get right, in one framework: a1's
+#: two converts share the trigger a2; (a5, a3, a4) converts the target a3
+#: of one of them (a chain); (a5, a6, a6) converts a6 into itself; the
+#: induce (a5, ~, a5) targets a visible argument; and (a7, a8, a9) and
+#: the induce (a9, ~, a10) touch arguments no other act does, so they
+#: form a group of their own. The attacks make some reference sets block
+#: acts.
+SHAPES = framework(
+    [f"a{i}" for i in range(1, 11)],
+    attacks=[("a4", "a1"), ("a6", "a7"), ("a10", "a9")],
+    persuasions=[
+        ("a1", "a2", "a3"), ("a1", "a2", "a4"), ("a5", "a3", "a4"),
+        ("a5", "a6", "a6"), ("a5", None, "a5"),
+        ("a7", "a8", "a9"), ("a9", None, "a10"),
+    ],
+    initial=["a1", "a2", "a3", "a5", "a6", "a7", "a8"],
+)
+
+
+def _shapes(fw, acts, state):
+    """The shapes of the acts possible at `state` that the grouped fold
+    has to combine correctly."""
+    converts = [act for act in acts if act.trigger is not None]
+    triggers = [act.trigger for act in converts]
+    _, moves = fw.masks
+    return {
+        "shared trigger": len(set(triggers)) < len(triggers),
+        "chain": any(
+            a.target == b.trigger for a in acts for b in converts if a != b
+        ),
+        "self-convert": any(act.trigger == act.target for act in converts),
+        "visible induce": any(
+            act.trigger is None and act.target in state.visible for act in acts
+        ),
+        "two groups": len(dynamics._groups(moves[act] for act in acts)) > 1,
+    }
+
+
+def test_grouped_fold_matches_bruteforce():
+    """At every reachable state, under the empty and random reference
+    sets, the grouped fold gives exactly the successors of firing every
+    nonempty subset of the possible acts."""
+    rng = random.Random(9)
+    frameworks = [SHAPES] + [
+        random_framework(
+            RandomInstanceSpec(
+                n_args=3 + seed % 6, attack_density=0.15,
+                n_induce=1 + seed % 4, n_convert=2 + seed % 5,
+                seed=60000 + seed,
+            )
+        )
+        for seed in range(120)
+    ]
+    seen = dict.fromkeys(_shapes(SHAPES, (), SHAPES.initial_state), 0)
+    for fw in frameworks:
+        assert len(fw.persuasions) <= 12
+        for state in reachable(fw, ALL).states:
+            for refset in (frozenset(), random_refset(rng, fw), random_refset(rng, fw)):
+                assert successor_states(fw, refset, state) == \
+                    successors_bruteforce(fw, refset, state), (fw, refset, state)
+                acts = possible_acts(fw, refset, state)
+                for shape, present in _shapes(fw, acts, state).items():
+                    seen[shape] += present
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "spec, counts",
+    [
+        (RandomInstanceSpec(12, 0.15, 6, 6, seed=85), (172, 2446)),
+        (RandomInstanceSpec(14, 0.15, 8, 8, seed=164), (152, 2246)),
+    ],
+    ids=["explore-12", "explore-14"],
+)
+def test_wildcard_lts_counts_pinned(spec, counts):
+    # the two smallest rungs of the benchmark's explore ladder, counted
+    # by the subset-folding code before acts were grouped
+    lts = reachable(random_framework(spec), ALL)
+    assert (len(lts.states), len(lts.edges)) == counts
 
 
 # -- reachable ---------------------------------------------------------------
