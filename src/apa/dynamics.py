@@ -7,14 +7,15 @@ subset of the possible acts may fire at once, dropping the triggers that
 were converted and making every target visible; an argument both dropped
 and (re)made visible in the same step stays visible (the effects offset).
 
-Successors are computed on `int` bit masks over the declaration order
-(`APAFramework.masks`). Two possible acts are linked when they share a
-trigger or target argument; sources do not link them, since screening
-reads only the state before the step. Each connected group of acts is
-folded on its own, and the successors are the product of the groups'
-outcomes. The product is exact because the groups touch disjoint
-arguments: which of a group's arguments end up visible depends only on
-which of its own acts fire. `State` stays the type callers see.
+Acts are screened, and successors computed, on the framework's `int` bit
+masks over the declaration order (`APAFramework.masks`); states are
+encoded and decoded by `APAFramework.mask` and `.members`. Two possible
+acts are linked when they share a trigger or target argument; sources do
+not link them, since screening reads only the state before the step. Each
+connected group of acts is folded on its own, and the successors are the
+product of the groups' outcomes. The product is exact because the groups
+touch disjoint arguments: which of a group's arguments end up visible
+depends only on which of its own acts fire. Callers see only `State`s.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import TooLarge
-from .model import APAFramework, PersuasionAct, State, bit_positions
+from .model import APAFramework, PersuasionAct, State
 
 #: Hard ceiling on explicit state enumeration (overridable per call).
 DEFAULT_MAX_STATES = 4096
@@ -103,13 +104,14 @@ def possible_acts(
     """Acts executable at `state` when screened by `refset`: an act is
     blocked when a visible member of `refset` attacks its source."""
     visible = state.visible
-    screen = refset & visible
+    screen = fw.mask(refset & visible)
+    attackers = fw.masks.attackers
     return frozenset(
         act
         for act in fw.persuasions
         if act.source in visible
         and (act.trigger is None or act.trigger in visible)
-        and not fw.attackers[act.source] & screen
+        and not attackers[fw.index(act.source)] & screen
     )
 
 
@@ -151,10 +153,8 @@ def successor_states(
     nonempty subset can still leave a group as it was (an induce whose
     target is visible), and then the state itself is a successor.
     """
-    bit, moves = fw.masks
-    vis = 0
-    for a in state.visible:
-        vis |= bit[a]
+    moves = fw.masks.moves
+    vis = fw.mask(state.visible)
     hidden = ~vis
     flips = {0}  # the arguments a combination of group outcomes toggles
     idle = False  # some group has a nonempty subset that changes nothing
@@ -171,13 +171,7 @@ def successor_states(
         flips = {f | c for f in flips for c in changes}
     if not idle:
         flips.discard(0)
-    args = fw.arguments
-    # copied from a set, a frozenset's table is sized to its members; built
-    # by `^` or one member at a time it can be twice as large
-    return frozenset(
-        State(frozenset({args[i] for i in bit_positions(vis ^ f)}))
-        for f in flips
-    )
+    return frozenset(State(fw.members(vis ^ f)) for f in flips)
 
 
 def reachable(
@@ -190,26 +184,30 @@ def reachable(
 
     The result keeps one successor table per selector and the states
     sorted by their member-index tuples; `LTS.edges` and `LTS.deadlocks`
-    are derived from the tables when first read.
+    are derived from the tables when first read. The tables hold one
+    `State` per visible set, so an edge's ends are looked up by identity.
     """
     if max_states < 1:
         raise TooLarge(f"reachable state count exceeds {max_states}")
     selectors = family.effective
     init = fw.initial_state
-    seen = {init}
+    seen = {init.visible: init}  # each visible set's one `State`
     queue = deque([init])
     tables = tuple({} for _ in selectors)
     while queue:
         state = queue.popleft()
         for refset, table in zip(selectors, tables):
-            table[state] = succs = successor_states(fw, refset, state)
-            for succ in succs:
-                if succ not in seen:
+            kept = []
+            for succ in successor_states(fw, refset, state):
+                known = seen.get(succ.visible)
+                if known is None:
                     if len(seen) >= max_states:
                         raise TooLarge(
                             f"reachable state count exceeds {max_states}"
                         )
-                    seen.add(succ)
+                    seen[succ.visible] = known = succ
                     queue.append(succ)
-    states = tuple(sorted(seen, key=fw.state_key))
+                kept.append(known)
+            table[state] = frozenset(kept)
+    states = tuple(sorted(seen.values(), key=fw.state_key))
     return LTS(fw, family, states, init, tables)

@@ -32,6 +32,10 @@ class DuplicateArgument(ValidationIssue):
     """The same argument id is declared more than once."""
 
 
+class BadArgumentName(ValidationIssue):
+    """A declared argument id does not match `model.NAME`."""
+
+
 class BadInitial(ValidationIssue):
     """The initial set contains a token that is not a declared argument."""
 

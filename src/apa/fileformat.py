@@ -15,21 +15,24 @@ from __future__ import annotations
 import re
 
 from .errors import QuerySyntaxError
-from .model import APAFramework, validate
+from .model import NAME, APAFramework, validate
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_ATTACK_RE = re.compile(rf"^({_NAME})\s*->\s*({_NAME})$")
-_INDUCE_RE = re.compile(rf"^({_NAME})\s*=>\s*({_NAME})$")
-_CONVERT_RE = re.compile(rf"^({_NAME})\s*:\s*({_NAME})\s*=>\s*({_NAME})$")
+#: Relation sections in `validate`'s order: line pattern, usage on mismatch.
+_RELATIONS = {
+    "attack": (re.compile(rf"^({NAME})\s*->\s*({NAME})$"), "attack: x -> y"),
+    "induce": (re.compile(rf"^({NAME})\s*=>\s*({NAME})$"), "induce: s => t"),
+    "convert": (
+        re.compile(rf"^({NAME})\s*:\s*({NAME})\s*=>\s*({NAME})$"),
+        "convert: s : g => t",
+    ),
+}
 
 
 def parse_framework(text: str) -> APAFramework:
     """Parse and validate a framework file."""
     arguments: list[tuple[str, int]] = []
     initial: list[tuple[str, int]] = []
-    attacks: list[tuple[str, str, int]] = []
-    induces: list[tuple[str, str, int]] = []
-    converts: list[tuple[str, str, str, int]] = []
+    relations: dict[str, list[tuple]] = {section: [] for section in _RELATIONS}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -43,38 +46,23 @@ def parse_framework(text: str) -> APAFramework:
         if section in ("arguments", "initial"):
             names = arguments if section == "arguments" else initial
             for tok in rest.split():
-                if not re.fullmatch(_NAME, tok):
+                if not re.fullmatch(NAME, tok):
                     raise QuerySyntaxError(
                         f"bad argument name {tok!r}", lineno, 1
                     )
                 names.append((tok, lineno))
-        elif section == "attack":
+        elif section in _RELATIONS:
             if not rest:
                 continue
-            m = _ATTACK_RE.match(rest)
+            pattern, usage = _RELATIONS[section]
+            m = pattern.match(rest)
             if not m:
-                raise QuerySyntaxError("expected 'attack: x -> y'", lineno, 1)
-            attacks.append((m.group(1), m.group(2), lineno))
-        elif section == "induce":
-            if not rest:
-                continue
-            m = _INDUCE_RE.match(rest)
-            if not m:
-                raise QuerySyntaxError("expected 'induce: s => t'", lineno, 1)
-            induces.append((m.group(1), m.group(2), lineno))
-        elif section == "convert":
-            if not rest:
-                continue
-            m = _CONVERT_RE.match(rest)
-            if not m:
-                raise QuerySyntaxError(
-                    "expected 'convert: s : g => t'", lineno, 1
-                )
-            converts.append((m.group(1), m.group(2), m.group(3), lineno))
+                raise QuerySyntaxError(f"expected '{usage}'", lineno, 1)
+            relations[section].append((*m.groups(), lineno))
         else:
             raise QuerySyntaxError(f"unknown section {section!r}", lineno, 1)
 
-    return validate(arguments, initial, attacks, induces, converts)
+    return validate(arguments, initial, *relations.values())
 
 
 def print_framework(fw: APAFramework) -> str:

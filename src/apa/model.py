@@ -1,21 +1,22 @@
 """Core model: arguments, persuasion acts, frameworks and states.
 
-Arguments are plain string ids; a framework fixes their declaration order,
-which every set-valued output in the package is sorted by. A state is a
-value object identified solely by its visible set. A set defends a
-visible argument when it counter-attacks every visible threat to it: each
-attacker of the argument, and each source of a convert act that drops it.
-A framework derives both relations once, as `attackers` and `eliminators`,
-and the bit masks that successors are computed on once, as `masks`.
+Arguments are plain string ids matching `NAME`; a framework fixes their
+declaration order, which every set-valued output in the package is sorted
+by. A state is a value object identified solely by its visible set. A
+framework derives its relations once, as bit masks over the declaration
+order (`masks`); `mask` and `members` are the one encoder and decoder of
+argument sets, and successors, extensions and membership tests read them.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
+    BadArgumentName,
     BadInitial,
     DuplicateArgument,
     UndeclaredArgument,
@@ -24,9 +25,8 @@ from .errors import (
     ValidationIssue,
 )
 
-#: Reserved token for the empty trigger of an induce act. It can never be
-#: declared as an argument.
-EPSILON = "~"
+#: The argument names every input and output format can carry unambiguously.
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,24 @@ class State:
     """A state of the dynamics: the set of currently visible arguments.
 
     Two states are equal iff their visible sets are equal; the attacks it
-    induces are the framework's `attackers` restricted to `visible`.
+    induces are the framework's attacks between members of `visible`.
     """
 
     visible: frozenset[str]
+
+
+class Masks(NamedTuple):
+    """A framework's relations as `int` masks over the declaration order,
+    invisible arguments included: `bit[a]`; per argument position, its
+    `attackers`, its `threats` (attackers and the sources of the convert
+    acts (s, x, t), t != x, that drop it) and its `clash` (attacking or
+    attacked); per act, its (drop, add) `moves`."""
+
+    bit: dict[str, int]
+    attackers: tuple[int, ...]
+    threats: tuple[int, ...]
+    clash: tuple[int, ...]
+    moves: dict[PersuasionAct, tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -103,35 +117,39 @@ class APAFramework:
     def initial_state(self) -> State:
         return State(self.initial)
 
-    # -- the two relations defence reads -----------------------------------
-
-    @functools.cached_property
-    def attackers(self) -> dict[str, frozenset[str]]:
-        """`attackers[x]`: every argument attacking `x`, visible or not."""
-        return _sources_by_target(self.arguments, self.attacks)
-
-    @functools.cached_property
-    def eliminators(self) -> dict[str, frozenset[str]]:
-        """`eliminators[x]`: the sources of the convert acts (s, x, t) with
-        t != x. Each such act drops `x` when fired alone, and every
-        transition that drops `x` fires one of them."""
-        drops = ((act.source, act.trigger) for act in self.persuasions
-                 if act.trigger not in (None, act.target))
-        return _sources_by_target(self.arguments, drops)
-
     # -- bit masks over the declaration order -----------------------------
 
     @functools.cached_property
-    def masks(self) -> tuple[dict[str, int], dict[PersuasionAct, tuple[int, int]]]:
-        """`(bit, moves)`: `bit[a]` is `1 << index(a)`, and `moves[act]`
-        the (drop, add) masks of an act: its trigger (none for an induce
-        act) and its target."""
+    def masks(self) -> Masks:
+        """The framework's relations as bit masks, built once."""
         bit = {a: 1 << i for i, a in enumerate(self.arguments)}
-        moves = {
-            act: (0 if act.trigger is None else bit[act.trigger], bit[act.target])
-            for act in self.persuasions
-        }
-        return bit, moves
+        index = self._index
+        attackers = [0] * len(bit)
+        clash = [0] * len(bit)
+        for a, b in self.attacks:
+            attackers[index[b]] |= bit[a]
+            clash[index[b]] |= bit[a]
+            clash[index[a]] |= bit[b]
+        threats = list(attackers)
+        moves = {}
+        for act in self.persuasions:
+            drop = 0 if act.trigger is None else bit[act.trigger]
+            moves[act] = (drop, bit[act.target])
+            if act.trigger not in (None, act.target):
+                threats[index[act.trigger]] |= bit[act.source]
+        return Masks(bit, tuple(attackers), tuple(threats), tuple(clash), moves)
+
+    def mask(self, args: Iterable[str]) -> int:
+        """The mask of a set of declared arguments."""
+        bit = self.masks.bit
+        return sum({bit[a] for a in args})
+
+    def members(self, mask: int) -> frozenset[str]:
+        """The arguments whose bits are set in `mask`."""
+        args = self.arguments
+        # copied from a set, a frozenset's table is sized to its members; built
+        # by `^` or one member at a time it can be twice as large
+        return frozenset({args[i] for i in bit_positions(mask)})
 
     def format_set(self, args: Iterable[str]) -> str:
         return "{" + ",".join(self.sort_args(args)) + "}"
@@ -143,16 +161,6 @@ def bit_positions(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _sources_by_target(
-    arguments: tuple[str, ...], pairs: Iterable[tuple[str, str]]
-) -> dict[str, frozenset[str]]:
-    """Group (source, target) pairs by target, one entry per argument."""
-    sources: dict[str, set[str]] = {a: set() for a in arguments}
-    for source, target in pairs:
-        sources[target].add(source)
-    return {a: frozenset(s) for a, s in sources.items()}
 
 
 def validate(
@@ -172,12 +180,9 @@ def validate(
     order: list[str] = []
     seen: set[str] = set()
     for tok, line in arguments:
-        if tok == EPSILON:
-            # the empty-trigger token is reserved; declaring it collides
-            # with the built-in name
-            issues.append(DuplicateArgument(tok, line))
-            continue
-        if tok in seen:
+        if not (isinstance(tok, str) and re.fullmatch(NAME, tok)):
+            issues.append(BadArgumentName(tok, line))
+        elif tok in seen:
             issues.append(DuplicateArgument(tok, line))
         else:
             seen.add(tok)

@@ -4,9 +4,10 @@ A candidate set is admissible at a state when it is proper (a subset of
 the visible arguments), conflict-free, and defends each of its members.
 Defence answers persuasion as well as attack: a member's threats are its
 visible attackers and the visible sources of the convert acts that drop
-it (`APAFramework.attackers`, `.eliminators`), and the candidate defends
-it when a visible member attacks every threat, which also screens those
-acts out under the candidate as reference set. Complete / preferred /
+it, and the candidate defends it when a visible member attacks every
+threat, which also screens those acts out under the candidate as
+reference set. `_answered` states defence once, on `APAFramework.masks`,
+which the search and every membership test read. Complete / preferred /
 stable / grounded refine this in the usual way, with completeness closure
 restricted to visible arguments.
 
@@ -38,10 +39,18 @@ LABELS = ("ad", "co", "pr", "st", "gr")
 DEFAULT_MAX_ENUM_ARGS = 20
 
 
+def _answered(attackers: tuple[int, ...], inn: int, threats: int) -> bool:
+    """Whether a member of `inn` attacks each argument in `threats`, on the
+    `attackers` masks of `APAFramework.masks`: the one statement of defence,
+    since `inn` defends an argument when it answers its visible threats."""
+    return all(attackers[t] & inn for t in bit_positions(threats))
+
+
 def is_conflict_free(fw: APAFramework, candidate: frozenset[str], state: State) -> bool:
     """No attack between visible members of the candidate."""
-    vis = candidate & state.visible
-    return not any(fw.attackers[a] & vis for a in vis)
+    inn = fw.mask(candidate & state.visible)
+    clash = fw.masks.clash
+    return not any(clash[i] & inn for i in bit_positions(inn))
 
 
 def defends(fw: APAFramework, candidate: frozenset[str], arg: str, state: State) -> bool:
@@ -49,16 +58,21 @@ def defends(fw: APAFramework, candidate: frozenset[str], arg: str, state: State)
     `state`: a visible candidate member attacks every visible attacker of
     `arg` and every visible source of a convert act that drops it.
     Invisible arguments are defended vacuously."""
-    visible = state.visible
-    if arg not in visible:
+    if arg not in state.visible:
         return True
-    helpers = candidate & visible
-    threats = (fw.attackers[arg] | fw.eliminators[arg]) & visible
-    return all(fw.attackers[t] & helpers for t in threats)
+    masks = fw.masks
+    threats = masks.threats[fw.index(arg)] & fw.mask(state.visible)
+    return _answered(masks.attackers, fw.mask(candidate & state.visible), threats)
 
 
 def is_defended(fw: APAFramework, candidate: frozenset[str], state: State) -> bool:
-    return all(defends(fw, candidate, a, state) for a in candidate)
+    """Whether `candidate` answers every visible threat to its members."""
+    masks = fw.masks
+    inn = fw.mask(candidate & state.visible)
+    threats = 0
+    for i in bit_positions(inn):
+        threats |= masks.threats[i]
+    return _answered(masks.attackers, inn, threats & fw.mask(state.visible))
 
 
 @functools.lru_cache(maxsize=None)
@@ -74,7 +88,13 @@ def characteristic(
     fw: APAFramework, candidate: frozenset[str], state: State
 ) -> frozenset[str]:
     """The visible arguments that `candidate` defends at `state`."""
-    return frozenset(a for a in state.visible if defends(fw, candidate, a, state))
+    masks = fw.masks
+    vis = fw.mask(state.visible)
+    inn = fw.mask(candidate & state.visible)
+    return fw.members(sum(
+        1 << i for i in bit_positions(vis)
+        if _answered(masks.attackers, inn, masks.threats[i] & vis)
+    ))
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,59 +117,44 @@ def _search(
     in canonical order: by size, then by declaration indices.
 
     A depth-first search labels the visible arguments IN or OUT in
-    declaration order, on bit masks over that order. An argument goes IN
-    only if it is conflict-free with itself and with the IN set. A branch
-    is cut when some threat to an IN member has no attacker left that is
-    IN or undecided and conflict-free with the IN set, since no labelling
-    below it can defend that member. With `complete`, a branch is also cut
-    when the IN set defends an argument already OUT: defence is monotone,
-    so every IN set below it defends that argument too. Each leaf that
-    survives is an admissible (complete) IN set.
+    declaration order, on the framework's masks. An argument goes IN only
+    if it clashes neither with itself nor with the IN set. A branch is cut
+    when some threat to an IN member has no attacker left that is IN or
+    undecided and clash-free with the IN set, since no labelling below it
+    can defend that member. With `complete`, a branch is also cut when the
+    IN set defends an argument already OUT: defence is monotone, so every
+    IN set below it defends that argument too. Each leaf that survives is
+    an admissible (complete) IN set.
     """
     if len(state.visible) > max_args:
         raise TooLarge(
             f"{len(state.visible)} visible arguments exceed the enumeration "
             f"bound of {max_args}"
         )
-    vis = fw.sort_args(state.visible)
-    bit = {a: 1 << i for i, a in enumerate(vis)}
-
-    def mask(args: frozenset[str]) -> int:
-        return sum(bit[a] for a in args & state.visible)
-
-    attackers = [mask(fw.attackers[a]) for a in vis]
-    threats = [mask(fw.attackers[a] | fw.eliminators[a]) for a in vis]
-    # clash[i]: the visible arguments that attack, or are attacked by, i
-    clash = list(attackers)
-    for i, atk in enumerate(attackers):
-        for j in bit_positions(atk):
-            clash[j] |= 1 << i
-
-    def defended(inn: int, i: int) -> bool:
-        return all(attackers[t] & inn for t in bit_positions(threats[i]))
-
-    n = len(vis)
+    masks = fw.masks
+    attackers, threats, clash = masks.attackers, masks.threats, masks.clash
+    vis = fw.mask(state.visible)
     found = []
-    # (next index, IN, OUT, arguments clashing with IN, threats to IN)
-    stack = [(0, 0, 0, 0, 0)]
+    # (undecided, IN, OUT, arguments clashing with IN, threats to IN)
+    stack = [(vis, 0, 0, 0, 0)]
     while stack:
-        k, inn, out, clashing, threatened = stack.pop()
-        helpers = inn | (~((1 << k) - 1) & ~clashing)
-        if not all(attackers[t] & helpers for t in bit_positions(threatened)):
+        rest, inn, out, clashing, threatened = stack.pop()
+        if not _answered(attackers, inn | rest & ~clashing, threatened):
             continue
-        if complete and any(defended(inn, o) for o in bit_positions(out)):
+        if complete and any(_answered(attackers, inn, threats[o] & vis)
+                            for o in bit_positions(out)):
             continue
-        if k == n:
+        if not rest:
             found.append(inn)
             continue
-        b = 1 << k
-        stack.append((k + 1, inn, out | b, clashing, threatened))
+        b = rest & -rest
+        k = b.bit_length() - 1
+        stack.append((rest ^ b, inn, out | b, clashing, threatened))
         if not clash[k] & (inn | b):
-            stack.append(
-                (k + 1, inn | b, out, clashing | clash[k], threatened | threats[k])
-            )
+            stack.append((rest ^ b, inn | b, out, clashing | clash[k],
+                          threatened | threats[k] & vis))
     found.sort(key=lambda m: (m.bit_count(), list(bit_positions(m))))
-    return tuple(frozenset(vis[i] for i in bit_positions(m)) for m in found)
+    return tuple(fw.members(m) for m in found)
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,10 +196,10 @@ def holds(
         return is_complete(fw, candidate, state) and not any(
             candidate < c for c in complete_sets(fw, state, max_args)
         )
-    if label == "st":
-        return is_admissible(fw, candidate, state) and all(
-            fw.attackers[other] & candidate
-            for other in state.visible - candidate
+    if label == "st":  # a stable set attacks every visible non-member
+        return is_admissible(fw, candidate, state) and _answered(
+            fw.masks.attackers, fw.mask(candidate),
+            fw.mask(state.visible - candidate),
         )
     if label == "gr":
         return candidate == grounded_set(fw, state)

@@ -317,8 +317,9 @@ def test_admissible_listing_still_bounded(wide_file):
 
 def test_benchmark_trace_hooks_resolve(elma_file, tmp_path):
     """The benchmark's traced run wraps functions by name; a renamed hook,
-    or reachability that no longer expands states through the wrapped
-    `successor_states`, must fail here rather than in a benchmark run."""
+    reachability that no longer expands states through the wrapped
+    `successor_states`, or admissibility that no longer calls the counted
+    `is_defended`, must fail here rather than in a benchmark run."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
 
@@ -330,18 +331,28 @@ def test_benchmark_trace_hooks_resolve(elma_file, tmp_path):
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode in (0, 2), proc.stderr
-        return proc.stdout, json.loads(spans.read_text())["spans"]
+        return proc.stdout, json.loads(spans.read_text())
 
+    # {a2, a4} is admissible at the initial state, so the counted
+    # `is_defended` must be reached
     q = tmp_path / "q.q"
-    q.write_text(QUERY_TRUE)
-    _, spans = traced("check", elma_file, str(q))
-    names = {span[1] for span in spans}
+    q.write_text("set S = { a2, a4 }\nformula: EF{*} sem(ad,S)\n")
+    _, dump = traced("check", elma_file, str(q))
+    names = {span[1] for span in dump["spans"]}
     assert "ctl.check" in names
     assert any(n.startswith("semantics.holds.") for n in names), names
+    assert dump["count"]["semantics.admissible_found"] > 0
+
+    _, dump = traced(
+        "semantics", elma_file, "--state", "a2,a3,a4", "--which", "co"
+    )
+    names = [span[1] for span in dump["spans"]]
+    assert names.count("semantics.extensions.co") == 1, names
 
     # one wildcard selector: every listed state is expanded once, inside
     # the one `reachable` call
-    out, spans = traced("states", elma_file)
+    out, dump = traced("states", elma_file)
+    spans = dump["spans"]
     name = {span[0]: span[1] for span in spans}
     (reach,) = [i for i, n in name.items() if n == "dynamics.reachable"]
     expansions = [s for s in spans if s[1] == "dynamics.successor_states"]

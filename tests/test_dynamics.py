@@ -181,7 +181,7 @@ def _shapes(fw, acts, state):
     has to combine correctly."""
     converts = [act for act in acts if act.trigger is not None]
     triggers = [act.trigger for act in converts]
-    _, moves = fw.masks
+    moves = fw.masks.moves
     return {
         "shared trigger": len(set(triggers)) < len(triggers),
         "chain": any(
@@ -236,6 +236,30 @@ def test_wildcard_lts_counts_pinned(spec, counts):
     # by the subset-folding code before acts were grouped
     lts = reachable(random_framework(spec), ALL)
     assert (len(lts.states), len(lts.edges)) == counts
+
+
+@pytest.mark.parametrize(
+    "spec, sigma",
+    [
+        (RandomInstanceSpec(14, 0.15, 8, 8, seed=164), ALL),
+        (RandomInstanceSpec(10, 0.2, 5, 5, seed=3), None),
+    ],
+    ids=["explore-14", "two-selectors"],
+)
+def test_tables_share_one_state_per_visible_set(spec, sigma):
+    # every edge end in every table is the very object listed in `states`,
+    # so looking it up in a table needs no `State.__eq__`
+    fw = random_framework(spec)
+    if sigma is None:
+        sigma = SelectorFamily((frozenset(), frozenset(fw.arguments[::2])))
+    lts = reachable(fw, sigma)
+    kept = {s: s for s in lts.states}
+    assert lts.initial is kept[lts.initial]
+    for table in lts.tables:
+        assert table.keys() == kept.keys()
+        for state, succs in table.items():
+            assert state is kept[state]
+            assert all(succ is kept[succ] for succ in succs)
 
 
 # -- reachable ---------------------------------------------------------------

@@ -120,3 +120,18 @@ def test_parse_bad_argument_name(token):
     with pytest.raises(QuerySyntaxError) as excinfo:
         parse_framework(f"arguments: a\n\ninitial: a {token}\n")
     assert excinfo.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("attack: a => b", "expected 'attack: x -> y' at line 3, column 1"),
+        ("induce: a -> b", "expected 'induce: s => t' at line 3, column 1"),
+        ("convert: a => b", "expected 'convert: s : g => t' at line 3, column 1"),
+        ("attack: a, b", "expected 'attack: x -> y' at line 3, column 1"),
+    ],
+)
+def test_parse_bad_relation_line_message(line, message):
+    with pytest.raises(QuerySyntaxError) as excinfo:
+        parse_framework(f"arguments: a b\n# relations\n{line}\n")
+    assert str(excinfo.value) == message

@@ -2,6 +2,7 @@ import pytest
 
 from apa.errors import (
     ApaError,
+    BadArgumentName,
     BadInitial,
     DuplicateArgument,
     UndeclaredArgument,
@@ -46,38 +47,71 @@ def test_empty_relations_valid():
 
 
 def test_epsilon_cannot_be_declared():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as excinfo:
         framework(["a", "~"])
+    assert [type(i) for i in excinfo.value.issues] == [BadArgumentName]
+
+
+@pytest.mark.parametrize("name", ["a,b", "~", "1a", 7])
+def test_bad_argument_names_rejected(name):
+    # names that no output format could print back unambiguously
+    with pytest.raises(ValidationError) as excinfo:
+        framework(["c", name], attacks=[("c", name)])
+    issues = excinfo.value.issues
+    assert any(isinstance(i, BadArgumentName) and i.token == name for i in issues)
+
+
+def relation(fw, name):
+    """One per-argument relation of `fw.masks`, decoded to names."""
+    masks = getattr(fw.masks, name)
+    return {a: fw.members(masks[fw.index(a)]) for a in fw.arguments}
 
 
 def test_attackers_elma(elma):
-    assert elma.attackers == {
+    assert elma.masks.bit == {"a2": 1, "a3": 2, "a4": 4, "a5": 8}
+    assert relation(elma, "attackers") == {
         "a2": frozenset(), "a3": {"a2"}, "a4": frozenset(), "a5": frozenset(),
+    }
+    assert relation(elma, "clash") == {
+        "a2": {"a3"}, "a3": {"a2"}, "a4": frozenset(), "a5": frozenset(),
     }
 
 
 def test_eliminators_elma(elma):
-    # convert act (a3, a4, a5): firing it drops a4
-    assert elma.eliminators["a4"] == {"a3"}
-    assert all(not elma.eliminators[a] for a in ("a2", "a3", "a5"))
+    # convert act (a3, a4, a5): firing it drops a4, so a3 threatens a4
+    # without attacking it
+    threats = relation(elma, "threats")
+    assert threats["a4"] == {"a3"}
+    assert threats["a3"] == {"a2"}  # its attacker
+    assert all(not threats[a] for a in ("a2", "a5"))
+    assert elma.masks.moves == {PersuasionAct("a3", "a4", "a5"): (4, 8)}
 
 
 def test_relations_without_attacks(alice):
     # two convert acts compete for trigger a1; nothing attacks anything
-    assert set(alice.attackers) == set(alice.arguments)
-    assert not any(alice.attackers.values())
-    assert alice.eliminators["a1"] == {"a2", "a3"}
+    assert set(relation(alice, "attackers")) == set(alice.arguments)
+    assert not any(alice.masks.attackers) and not any(alice.masks.clash)
+    assert relation(alice, "threats")["a1"] == {"a2", "a3"}
 
 
 def test_induced_state_empty(elma):
     state = elma.state([])
     assert state.visible == frozenset()
-    assert not any(elma.attackers[a] & state.visible for a in elma.arguments)
+    assert elma.mask(state.visible) == 0
+    assert not any(m & elma.mask(state.visible) for m in elma.masks.attackers)
 
 
 def test_convert_to_itself_eliminates_nothing():
     fw = framework(["s", "x", "y"], persuasions=[("s", "x", "x"), ("y", None, "x")])
-    assert fw.eliminators == {"s": frozenset(), "x": frozenset(), "y": frozenset()}
+    assert fw.masks.threats == (0, 0, 0)
+    assert fw.masks.moves[PersuasionAct("s", "x", "x")] == (2, 2)
+    assert fw.masks.moves[PersuasionAct("y", None, "x")] == (0, 2)
+
+
+def test_mask_and_members_round_trip(elma):
+    for args in (set(), {"a2"}, {"a5", "a3"}, set(elma.arguments)):
+        assert elma.members(elma.mask(args)) == args
+    assert elma.mask(["a2", "a4"]) == 5 and elma.members(10) == {"a3", "a5"}
 
 
 def test_induced_state_idempotent(elma):
@@ -86,11 +120,12 @@ def test_induced_state_idempotent(elma):
 
 
 def test_attackers_list_invisible_attackers(elma):
-    # the maps belong to the framework: a2 stays listed as the attacker of
+    # the masks belong to the framework: a2 stays listed as the attacker of
     # a3 at a state where a2 is invisible, and only the readers restrict it
     state = elma.state(["a3", "a4"])
-    assert elma.attackers["a3"] == {"a2"}
-    assert elma.attackers["a3"] & state.visible == frozenset()
+    attackers = elma.masks.attackers[elma.index("a3")]
+    assert elma.members(attackers) == {"a2"}
+    assert attackers & elma.mask(state.visible) == 0
     assert defends(elma, frozenset(), "a3", state)
 
 

@@ -113,7 +113,9 @@ def test_eliminator_as_the_only_threat(elma):
     # a4 has no attacker; the convert act a3 : a4 => a5 is its one threat,
     # answered only by a2's attack on a3
     init = elma.initial_state
-    assert not elma.attackers["a4"] and elma.eliminators["a4"] == fs("a3")
+    a4 = elma.index("a4")
+    assert not elma.masks.attackers[a4]
+    assert elma.members(elma.masks.threats[a4]) == fs("a3")
     assert extensions(elma, "ad", init) == (fs(), fs("a2"), fs("a2", "a4"))
     for label in ("co", "pr", "st", "gr"):
         assert extensions(elma, label, init) == (fs("a2", "a4"),), label
@@ -240,3 +242,20 @@ def test_holds_agrees_with_extensions_on_random_instances():
             assert grounded_set(fw, state) == frozenset.intersection(*cos), (
                 seed, state,
             )
+
+
+@pytest.mark.parametrize(
+    "members", [("a2", "a4", "zz"), ("a2", "a4", "a5"), ("zz",)],
+    ids=["undeclared", "invisible", "only-undeclared"],
+)
+def test_membership_ignores_invisible_and_undeclared_members(elma, members):
+    # a candidate holding an invisible or undeclared name is no extension,
+    # and the building blocks read only its visible members
+    init = elma.initial_state
+    cand = frozenset(members)
+    vis = cand & init.visible
+    for label in semantics.LABELS:
+        assert holds(elma, label, cand, init) is False, label
+    assert is_conflict_free(elma, cand, init) == is_conflict_free(elma, vis, init)
+    for arg in elma.arguments + ("zz",):
+        assert defends(elma, cand, arg, init) == defends(elma, vis, arg, init), arg
