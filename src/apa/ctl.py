@@ -596,7 +596,6 @@ class Labeling:
         self.lts: LTS = dynamics.reachable(
             fw, SelectorFamily(tuple(selectors)), max_states=max_states
         )
-        self.query = query
         self.everywhere = frozenset(self.lts.states)
 
         # successor maps per selector family, stutter-completed

@@ -64,8 +64,8 @@ class LTS:
     """Reachable states plus transitions labeled by selector index.
 
     The transition relation is stored once: `tables[i]` maps every state
-    to its successors under selector `i`. `edges` and `deadlocks` are
-    derived from the tables on first use, in canonical order.
+    to the set `successor_states` gave for it under selector `i`; `edges`
+    and `deadlocks` are derived from them on first use, in canonical order.
     """
 
     framework: APAFramework
@@ -94,8 +94,10 @@ class LTS:
         )
 
     def successors_of(self, state: State, selector_ids) -> frozenset[State]:
-        """Successor states of `state` under the given selector indices."""
-        return frozenset().union(*(self.tables[i][state] for i in selector_ids))
+        """Successor states of `state` under the given selector indices:
+        for one selector, that table's own set."""
+        first, *rest = (self.tables[i][state] for i in selector_ids)
+        return first.union(*rest) if rest else first
 
 
 def possible_acts(
@@ -134,21 +136,25 @@ def _groups(moves) -> list[list[tuple[int, int]]]:
 
 @functools.lru_cache(maxsize=None)
 def successor_states(
-    fw: APAFramework, refset: frozenset[str], state: State
+    fw: APAFramework, refset: frozenset[str], state: State,
+    *, max_states: int = DEFAULT_MAX_STATES,
 ) -> frozenset[State]:
     """Distinct successor states of `state` under `refset` (memoized; all
-    inputs immutable).
+    inputs immutable). Raises TooLarge as soon as more than `max_states`
+    distinct successors are certain: every successor is reachable.
 
     The possible acts are split into groups linked by a shared trigger or
     target argument (`_groups` on the framework's act masks). Within a
-    group the acts are folded in one at a time over the effects of the act
-    subsets seen so far, as (dropped & ~added, added) mask pairs. Subsets
+    group the acts are folded in one at a time over the effects of the
+    nonempty act subsets seen so far, as (dropped & ~added, added) mask
+    pairs. The acts that drop come first, and `added` keeps only the
+    hidden arguments, and the triggers until the last act that drops: no
+    other added bit changes the state or offsets a later drop. Subsets
     with the same pair lead to the same state whatever acts join them
-    later, so the pairs are deduplicated after each act; only the empty
-    subset has the pair (0, 0), since every act adds its target. The
-    groups touch disjoint arguments, so a subset's effect is the union of
-    its parts' effects, each group's bits depend only on its own part, and
-    the successors are exactly the product of the groups' outcomes. The
+    later, so the pairs are deduplicated after each act. The groups
+    touch disjoint arguments, so a subset's effect is the union of its
+    parts' effects, each group's bits depend only on its own part, and the
+    successors are exactly the product of the groups' outcomes. The
     product leaves out only the combination where no group fires: a
     nonempty subset can still leave a group as it was (an induce whose
     target is visible), and then the state itself is a successor.
@@ -159,19 +165,33 @@ def successor_states(
     flips = {0}  # the arguments a combination of group outcomes toggles
     idle = False  # some group has a nonempty subset that changes nothing
     for group in _groups(moves[act] for act in possible_acts(fw, refset, state)):
-        effects = {(0, 0)}
+        group.sort(key=lambda move: not move[0])  # the acts that drop first
+        keep = hidden | sum({drop for drop, _ in group})
+        effects = set()
         for drop, add in group:
-            effects |= {((d | drop) & ~(a | add), a | add) for d, a in effects}
-        effects.discard((0, 0))
+            if not drop:  # no act left drops a trigger
+                keep = hidden
+            effects |= {((d | drop) & ~(a | add), (a | add) & keep)
+                        for d, a in effects}
+            effects.add((drop & ~add, add & keep))
+            if len(effects) > max_states:  # each distinct toggle is a successor
+                _bound(len({d | a & hidden for d, a in effects}), max_states)
         # triggers are visible, so the toggled bits are the dropped ones
         # and the added ones that were hidden
         changes = {d | a & hidden for d, a in effects}
         idle = idle or 0 in changes
         changes.add(0)
+        # disjoint bits, so every combination is distinct; 0 may not count
+        _bound(len(flips) * len(changes) - 1, max_states)
         flips = {f | c for f in flips for c in changes}
     if not idle:
         flips.discard(0)
     return frozenset(State(fw.members(vis ^ f)) for f in flips)
+
+
+def _bound(count: int, max_states: int) -> None:
+    if count > max_states:
+        raise TooLarge(f"reachable state count exceeds {max_states}")
 
 
 def reachable(
@@ -184,30 +204,23 @@ def reachable(
 
     The result keeps one successor table per selector and the states
     sorted by their member-index tuples; `LTS.edges` and `LTS.deadlocks`
-    are derived from the tables when first read. The tables hold one
-    `State` per visible set, so an edge's ends are looked up by identity.
+    are derived from the tables when first read. Each table entry is the
+    very set `successor_states` computed for that selector and state.
     """
-    if max_states < 1:
-        raise TooLarge(f"reachable state count exceeds {max_states}")
+    _bound(1, max_states)
     selectors = family.effective
     init = fw.initial_state
-    seen = {init.visible: init}  # each visible set's one `State`
+    seen = {init}
     queue = deque([init])
     tables = tuple({} for _ in selectors)
     while queue:
         state = queue.popleft()
         for refset, table in zip(selectors, tables):
-            kept = []
-            for succ in successor_states(fw, refset, state):
-                known = seen.get(succ.visible)
-                if known is None:
-                    if len(seen) >= max_states:
-                        raise TooLarge(
-                            f"reachable state count exceeds {max_states}"
-                        )
-                    seen[succ.visible] = known = succ
-                    queue.append(succ)
-                kept.append(known)
-            table[state] = frozenset(kept)
-    states = tuple(sorted(seen.values(), key=fw.state_key))
+            succs = successor_states(fw, refset, state, max_states=max_states)
+            table[state] = succs
+            for succ in succs - seen:
+                _bound(len(seen) + 1, max_states)
+                seen.add(succ)
+                queue.append(succ)
+    states = tuple(sorted(seen, key=fw.state_key))
     return LTS(fw, family, states, init, tables)

@@ -43,12 +43,12 @@ class PersuasionAct:
     target: str
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """A state of the dynamics: the set of currently visible arguments.
 
-    Two states are equal iff their visible sets are equal; the attacks it
-    induces are the framework's attacks between members of `visible`.
+    States hash and compare as tuples, in C, so they are equal iff their
+    visible sets are; sort them by `APAFramework.state_key`. The attacks a
+    state induces are the framework's attacks between members of `visible`.
     """
 
     visible: frozenset[str]

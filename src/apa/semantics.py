@@ -53,18 +53,6 @@ def is_conflict_free(fw: APAFramework, candidate: frozenset[str], state: State) 
     return not any(clash[i] & inn for i in bit_positions(inn))
 
 
-def defends(fw: APAFramework, candidate: frozenset[str], arg: str, state: State) -> bool:
-    """Whether `candidate`, used as a reference set, defends `arg` at
-    `state`: a visible candidate member attacks every visible attacker of
-    `arg` and every visible source of a convert act that drops it.
-    Invisible arguments are defended vacuously."""
-    if arg not in state.visible:
-        return True
-    masks = fw.masks
-    threats = masks.threats[fw.index(arg)] & fw.mask(state.visible)
-    return _answered(masks.attackers, fw.mask(candidate & state.visible), threats)
-
-
 def is_defended(fw: APAFramework, candidate: frozenset[str], state: State) -> bool:
     """Whether `candidate` answers every visible threat to its members."""
     masks = fw.masks

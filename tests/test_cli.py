@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,39 @@ def test_bound_override(tmp_path):
     assert code == 1 and "error:" in err
     code, out, _ = run(["states", str(path)])
     assert code == 0 and len(out.splitlines()) == 128
+
+
+def _wide(initial, hidden, acts):
+    return (
+        f"arguments: {' '.join(initial + hidden)}\n"
+        f"initial: {' '.join(initial)}\n" + "".join(a + "\n" for a in acts)
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _wide(["s"], [f"t{i}" for i in range(40)],
+              [f"induce: s => t{i}" for i in range(40)]),
+        _wide(["s"] + [f"g{i}" for i in range(40)], ["t"],
+              [f"convert: s : g{i} => t" for i in range(40)]),
+        _wide(["s"] + [f"g{i}" for i in range(40)], ["t"],
+              [f"convert: s : g{i} => t" for i in range(40)]
+              + [f"induce: s => g{i}" for i in range(40)]),
+    ],
+    ids=["fan-out", "shared-target", "re-added-triggers"],
+)
+def test_bound_checked_before_successor_product(tmp_path, text):
+    # the initial state has about 2^40 distinct successors: the bound is
+    # met while they are counted, long before they could all be built;
+    # with the induces, subsets that re-add a trigger leave the state as
+    # it was, and must not multiply the pairs the fold keeps
+    path = tmp_path / "wide.apa"
+    path.write_text(text)
+    start = time.perf_counter()
+    result = run(["states", str(path)])
+    assert time.perf_counter() - start < 2.0
+    assert result == (1, "", "error: reachable state count exceeds 4096\n")
 
 
 # -- error paths -------------------------------------------------------------

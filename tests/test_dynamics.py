@@ -1,8 +1,10 @@
 import random
+import time
+import types
 
 import pytest
 
-from apa import dynamics
+from apa import ctl, dynamics
 from apa.dynamics import (
     ALL,
     SelectorFamily,
@@ -246,20 +248,46 @@ def test_wildcard_lts_counts_pinned(spec, counts):
     ],
     ids=["explore-14", "two-selectors"],
 )
-def test_tables_share_one_state_per_visible_set(spec, sigma):
-    # every edge end in every table is the very object listed in `states`,
-    # so looking it up in a table needs no `State.__eq__`
+def test_tables_hold_the_successor_sets(spec, sigma):
+    # the relation is stored once: states hash and compare in C, and each
+    # table entry is the very set `successor_states` returned
+    assert not isinstance(State.__hash__, types.FunctionType)
+    assert not isinstance(State.__eq__, types.FunctionType)
     fw = random_framework(spec)
     if sigma is None:
         sigma = SelectorFamily((frozenset(), frozenset(fw.arguments[::2])))
-    lts = reachable(fw, sigma)
-    kept = {s: s for s in lts.states}
-    assert lts.initial is kept[lts.initial]
-    for table in lts.tables:
-        assert table.keys() == kept.keys()
+    lts = reachable(fw, sigma, max_states=1000)
+    assert lts.initial in lts.states
+    for i, (refset, table) in enumerate(zip(sigma.effective, lts.tables)):
+        assert table.keys() == set(lts.states)
         for state, succs in table.items():
-            assert state is kept[state]
-            assert all(succ is kept[succ] for succ in succs)
+            assert succs is successor_states(fw, refset, state, max_states=1000)
+            assert lts.successors_of(state, [i]) is succs
+
+
+def test_labeling_shares_one_selector_tables():
+    # a one-selector family's stutter-completed table is the LTS's own set
+    # wherever it is nonempty; a two-selector family's is their union
+    fw = random_framework(RandomInstanceSpec(10, 0.2, 5, 5, seed=5))
+    odd = ", ".join(fw.arguments[::2])
+    labeling = ctl.Labeling(fw, ctl.parse_query(
+        f"set B = {{{odd}}}\nset Z = {{}}\n"
+        "formula: EX{B} visible(a1) | EX{Z,B} visible(a2)"
+    ))
+    lts = labeling.lts
+    tables = dict(zip(lts.family.selectors, lts.tables))
+    one, empty = tables[frozenset(fw.arguments[::2])], tables[frozenset()]
+    stuttered = 0
+    for state in lts.states:
+        succs = labeling.successors(("B",), state)
+        if one[state]:
+            assert succs is one[state]
+        else:
+            stuttered += 1
+            assert succs == {state}
+        union = one[state] | empty[state]
+        assert labeling.successors(("Z", "B"), state) == (union or {state})
+    assert 0 < stuttered < len(lts.states)
 
 
 # -- reachable ---------------------------------------------------------------
@@ -307,6 +335,23 @@ def test_reachable_deterministic(oscillator):
     b = reachable(oscillator, ALL)
     assert a.states == b.states
     assert a.edges == b.edges
+
+
+def test_shared_trigger_fold_stays_small():
+    # 40 converts s : g => t_i with every t_i visible drop g whichever of
+    # them fire: one successor, found without a pair per subset of acts
+    targets = [f"t{i}" for i in range(40)]
+    fw = framework(
+        ["s", "g"] + targets,
+        persuasions=[("s", "g", t) for t in targets],
+        initial=["s", "g"] + targets,
+    )
+    start = time.perf_counter()
+    lts = reachable(fw, ALL, max_states=16)
+    assert time.perf_counter() - start < 1.0
+    assert visible_sets(lts.states) == {
+        frozenset(fw.arguments), frozenset(fw.arguments) - {"g"}
+    }
 
 
 def test_reachable_state_bound(oscillator):

@@ -10,7 +10,7 @@ from apa.errors import (
     ValidationError,
 )
 from apa.model import PersuasionAct, State, framework
-from apa.semantics import defends
+from apa.semantics import characteristic
 
 
 def test_elma_framework_valid(elma):
@@ -126,7 +126,8 @@ def test_attackers_list_invisible_attackers(elma):
     attackers = elma.masks.attackers[elma.index("a3")]
     assert elma.members(attackers) == {"a2"}
     assert attackers & elma.mask(state.visible) == 0
-    assert defends(elma, frozenset(), "a3", state)
+    assert "a3" not in state.visible \
+        or "a3" in characteristic(elma, frozenset(), state)
 
 
 def test_state_rejects_undeclared_arguments(elma):
