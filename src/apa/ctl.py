@@ -20,19 +20,20 @@ classical fixpoint algorithms apply. `F` operators are reflexive (the
 current state counts as a future state). Every temporal operator is
 labelled through its dual over EX, EU and EG, and the counterexample of a
 universal operator is the witness of its existential dual on the
-complement.
+complement. EU is built once, as its least fixpoint in stages: stage i
+holds the states whose shortest path to the target takes i steps. An EU
+witness walks down those stages, so it is a shortest path.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, fields
 
 from . import dynamics, semantics
 from .dynamics import LTS, SelectorFamily
 from .errors import QuerySyntaxError, UnknownName, UnknownSelector
-from .model import APAFramework, State
+from .model import NAME, APAFramework, State
 
 SEMANTICS_LABELS = set(semantics.LABELS)
 UNARY_TEMPORAL = ("AX", "EX", "AF", "EF", "AG", "EG")
@@ -173,7 +174,7 @@ _TOKEN_RE = re.compile(
   | (?P<comment>\#[^\n]*)
   | (?P<nl>\n)
   | (?P<arrow>->)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<name>""" + NAME + r""")
   | (?P<punct>[(){}\[\],!&|=:*])
     """,
     re.VERBOSE,
@@ -622,30 +623,32 @@ class Labeling:
         )
 
     def eg(self, sigma: Sigma, sat: frozenset[State]) -> frozenset[State]:
-        current = set(sat)
-        changed = True
-        while changed:
-            changed = False
-            for s in list(current):
-                if not (self.successors(sigma, s) & current):
-                    current.discard(s)
-                    changed = True
-        return frozenset(current)
+        """EG as the greatest fixpoint of Z = sat & EX Z: keep the states
+        with a successor still kept, until none is dropped."""
+        succ = self._succ[sigma]
+        while True:
+            kept = frozenset(s for s in sat if not succ[s].isdisjoint(sat))
+            if len(kept) == len(sat):
+                return kept
+            sat = kept
 
     def eu(
         self, sigma: Sigma, left: frozenset[State], right: frozenset[State]
-    ) -> frozenset[State]:
-        current = set(right)
-        changed = True
-        while changed:
-            changed = False
-            for s in self.everywhere:
-                if s in current or s not in left:
-                    continue
-                if self.successors(sigma, s) & current:
-                    current.add(s)
-                    changed = True
-        return frozenset(current)
+    ) -> dict[State, int]:
+        """E[left U right] as the least fixpoint of Z = right | (left & EX Z),
+        built in stages: each state where it holds, mapped to the length of
+        its shortest path into `right` through `left`. Stage 0 is `right`;
+        stage i+1 is the states of `left` not yet in Z with a successor in
+        stage i (one with a successor in an earlier stage is in Z already)."""
+        succ = self._succ[sigma]
+        stages = dict.fromkeys(right, 0)
+        frontier, rest, stage = right, left - right, 0
+        while frontier:
+            stage += 1
+            frontier = {s for s in rest if not succ[s].isdisjoint(frontier)}
+            rest -= frontier
+            stages.update(dict.fromkeys(frontier, stage))
+        return stages
 
     def dual(self, node: Temporal | Until) -> tuple[bool, tuple[tuple, ...]]:
         """A temporal node as (universal, alternatives), each alternative
@@ -702,6 +705,7 @@ class Labeling:
         if isinstance(node, (Temporal, Until)):
             fixpoint = {"EX": self.ex, "EU": self.eu, "EG": self.eg}
             universal, alternatives = self.dual(node)
+            # a union takes the keys of `eu`'s stages: its states
             holds = frozenset().union(
                 *(fixpoint[kind](node.sigma, *operands)
                   for kind, *operands in alternatives)
@@ -769,29 +773,18 @@ def _witness_path(labeling: Labeling, node: Formula) -> Lasso | None:
     def eu(
         through: frozenset[State], targets: frozenset[State]
     ) -> Lasso | None:
-        """A lasso starting with the shortest selector-path from init to a
-        target that passes through `through`-states before arrival; None
-        when no target is reachable that way."""
-        if init in targets:
-            return _extend_to_lasso([init], succ)
-        if init not in through:
+        """A lasso starting with the first (by `state_key`) of the shortest
+        selector-paths from init through `through`-states to a target: a
+        walk down the stages of E[through U targets]; None when init has
+        no stage."""
+        stages = labeling.eu(sigma, through, targets)
+        if init not in stages:
             return None
-        parent = {init: None}
-        queue = deque([init])
-        while queue:
-            s = queue.popleft()
-            for t in succ(s):
-                if t in parent:
-                    continue
-                parent[t] = s
-                if t in targets:
-                    path = [t]
-                    while path[-1] is not init:
-                        path.append(parent[path[-1]])
-                    return _extend_to_lasso(path[::-1], succ)
-                if t in through:
-                    queue.append(t)
-        return None
+        path = [init]
+        for stage in range(stages[init] - 1, -1, -1):
+            below = (t for t in succ(path[-1]) if stages.get(t) == stage)
+            path.append(next(below))
+        return _extend_to_lasso(path, succ)
 
     def eg(target: frozenset[State]) -> Lasso | None:
         good = labeling.eg(sigma, target)

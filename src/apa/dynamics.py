@@ -147,11 +147,11 @@ def successor_states(
     target argument (`_groups` on the framework's act masks). Within a
     group the acts are folded in one at a time over the effects of the
     nonempty act subsets seen so far, as (dropped & ~added, added) mask
-    pairs. The acts that drop come first, and `added` keeps only the
-    hidden arguments, and the triggers until the last act that drops: no
-    other added bit changes the state or offsets a later drop. Subsets
-    with the same pair lead to the same state whatever acts join them
-    later, so the pairs are deduplicated after each act. The groups
+    pairs. The acts that drop come first, and each new pair's `added`
+    keeps only the hidden arguments and the triggers of the acts still to
+    fold: no other added bit changes the state or offsets a later drop.
+    Subsets with the same pair lead to the same state whatever acts join
+    them later, so the pairs are deduplicated after each act. The groups
     touch disjoint arguments, so a subset's effect is the union of its
     parts' effects, each group's bits depend only on its own part, and the
     successors are exactly the product of the groups' outcomes. The
@@ -165,12 +165,13 @@ def successor_states(
     flips = {0}  # the arguments a combination of group outcomes toggles
     idle = False  # some group has a nonempty subset that changes nothing
     for group in _groups(moves[act] for act in possible_acts(fw, refset, state)):
-        group.sort(key=lambda move: not move[0])  # the acts that drop first
-        keep = hidden | sum({drop for drop, _ in group})
+        # the acts that drop first, the ones that share a trigger together
+        group.sort(reverse=True)
+        later = [hidden] * len(group)  # hidden | drops of the acts after j
+        for j in range(len(group) - 1, 0, -1):
+            later[j - 1] = later[j] | group[j][0]
         effects = set()
-        for drop, add in group:
-            if not drop:  # no act left drops a trigger
-                keep = hidden
+        for (drop, add), keep in zip(group, later):
             effects |= {((d | drop) & ~(a | add), (a | add) & keep)
                         for d, a in effects}
             effects.add((drop & ~add, add & keep))

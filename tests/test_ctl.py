@@ -359,14 +359,17 @@ def both_sides(fw, query_sets, lhs, rhs):
 
 
 def test_duality_and_expansion_laws_sample():
-    rng = random.Random(5)
+    rng, rng_psi = random.Random(5), random.Random(6)
     for seed in range(60):
         fw = random_framework(
             RandomInstanceSpec(n_args=4, n_induce=1, n_convert=2, seed=3000 + seed)
         )
         query = random_query(rng, fw, n_sets=2, depth=2)
         phi = query.formula
+        psi = random_formula(rng_psi, fw, ("S1", "S2"), 2)
         sigma = ("S1",)
+        eu = Until("E", sigma, phi, psi)
+        eg = Temporal("EG", sigma, phi)
         laws = [
             (Not(Temporal("AF", sigma, phi)), Temporal("EG", sigma, Not(phi))),
             (Not(Temporal("EF", sigma, phi)), Temporal("AG", sigma, Not(phi))),
@@ -377,6 +380,15 @@ def test_duality_and_expansion_laws_sample():
             (
                 Temporal("AG", sigma, phi),
                 And(phi, Temporal("AX", sigma, Temporal("AG", sigma, phi))),
+            ),
+            (eu, Or(psi, And(phi, Temporal("EX", sigma, eu)))),
+            (eg, And(phi, Temporal("EX", sigma, eg))),
+            (
+                Until("A", sigma, phi, psi),
+                Not(Or(
+                    Until("E", sigma, Not(psi), And(Not(phi), Not(psi))),
+                    Temporal("EG", sigma, Not(psi)),
+                )),
             ),
         ]
         for lhs, rhs in laws:
@@ -431,11 +443,29 @@ def lasso_proves(op, path, everywhere, left, right):
     }[op]()
 
 
+def bfs_distance(labeling, sigma, through, targets):
+    """Length of the shortest selector-path from the initial state to a
+    state of `targets` through states of `through`, or None."""
+    frontier, seen, distance = {labeling.lts.initial}, set(), 0
+    while frontier:
+        if frontier & targets:
+            return distance
+        seen |= frontier
+        frontier = {
+            t for s in frontier & through
+            for t in labeling.successors(sigma, s)
+        } - seen
+        distance += 1
+    return None
+
+
 def test_witnesses_prove_their_verdicts():
     """Every temporal operator over random operands: a lasso comes exactly
     with a true existential or a false universal, it follows the operator's
     selector family from the initial state, and the operands' labels prove
-    the verdict along it."""
+    the verdict along it. A lasso that must reach a target (E[U], EF, and
+    AG through EF) first meets one after exactly the breadth-first
+    distance."""
     rng = random.Random(808)
     lassos = dict.fromkeys(("EX", "AX", "EF", "AF", "EG", "AG", "E", "A"), 0)
     for case in range(150):
@@ -466,6 +496,15 @@ def test_witnesses_prove_their_verdicts():
             right = sat[psi] if op in ("A", "E") else everywhere
             proved = lasso_proves(op, path, everywhere, sat[phi], right)
             assert proved, (case, op)
+            reach = {
+                "E": (sat[phi], right),
+                "EF": (everywhere, sat[phi]),
+                "AG": (everywhere, everywhere - sat[phi]),
+            }
+            if op in reach:
+                through, targets = reach[op]
+                first = next(i for i, s in enumerate(path) if s in targets)
+                assert first == bfs_distance(labeling, sigma, through, targets)
     assert all(lassos.values()), lassos
 
 

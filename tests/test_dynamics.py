@@ -178,6 +178,21 @@ SHAPES = framework(
 )
 
 
+def trigger_ring(k):
+    """2k converts s : g_i => g_{i+1} and s : g_i => g_{i+2} (indices mod
+    k), every argument visible: each act re-adds triggers that other acts
+    drop."""
+    triggers = [f"g{i}" for i in range(k)]
+    return framework(
+        ["s"] + triggers,
+        persuasions=[
+            ("s", triggers[i], triggers[(i + j) % k])
+            for i in range(k) for j in (1, 2)
+        ],
+        initial=["s"] + triggers,
+    )
+
+
 def _shapes(fw, acts, state):
     """The shapes of the acts possible at `state` that the grouped fold
     has to combine correctly."""
@@ -202,7 +217,7 @@ def test_grouped_fold_matches_bruteforce():
     sets, the grouped fold gives exactly the successors of firing every
     nonempty subset of the possible acts."""
     rng = random.Random(9)
-    frameworks = [SHAPES] + [
+    frameworks = [SHAPES, trigger_ring(5)] + [
         random_framework(
             RandomInstanceSpec(
                 n_args=3 + seed % 6, attack_density=0.15,
@@ -352,6 +367,16 @@ def test_shared_trigger_fold_stays_small():
     assert visible_sets(lts.states) == {
         frozenset(fw.arguments), frozenset(fw.arguments) - {"g"}
     }
+
+
+def test_re_added_triggers_fold_stays_small():
+    # a pair is kept per distinct effect on the triggers of the acts still
+    # to fold, not per effect on every trigger of the group
+    fw = trigger_ring(14)
+    start = time.perf_counter()
+    succs = successor_states(fw, frozenset(), fw.initial_state, max_states=10_000)
+    assert time.perf_counter() - start < 1.0
+    assert len(succs) == 5071
 
 
 def test_reachable_state_bound(oscillator):
