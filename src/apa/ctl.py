@@ -20,9 +20,11 @@ classical fixpoint algorithms apply. `F` operators are reflexive (the
 current state counts as a future state). Every temporal operator is
 labelled through its dual over EX, EU and EG, and the counterexample of a
 universal operator is the witness of its existential dual on the
-complement. EU is built once, as its least fixpoint in stages: stage i
-holds the states whose shortest path to the target takes i steps. An EU
-witness walks down those stages, so it is a shortest path.
+complement. The labelling keeps what each alternative of a node's dual
+computed, and witnesses walk those fixpoints instead of computing them
+again. EU is built as its least fixpoint in stages: stage i holds the
+states whose shortest path to the target takes i steps. An EU witness
+walks down those stages, so it is a shortest path.
 """
 
 from __future__ import annotations
@@ -609,6 +611,9 @@ class Labeling:
             }
 
         self.sat: dict[Formula, frozenset[State]] = {}
+        #: per temporal node, (kind, target, result) of each alternative of
+        #: its dual: the `ex` or `eg` set, or the stages of `eu`
+        self.fixpoints: dict[Formula, tuple[tuple, ...]] = {}
         for node in order:
             self.sat[node] = self._label(node, sets, max_args)
 
@@ -618,8 +623,9 @@ class Labeling:
     # -- fixpoints --------------------------------------------------------
 
     def ex(self, sigma: Sigma, sat: frozenset[State]) -> frozenset[State]:
+        succ = self._succ[sigma]
         return frozenset(
-            s for s in self.everywhere if self.successors(sigma, s) & sat
+            s for s in self.everywhere if not succ[s].isdisjoint(sat)
         )
 
     def eg(self, sigma: Sigma, sat: frozenset[State]) -> frozenset[State]:
@@ -705,11 +711,12 @@ class Labeling:
         if isinstance(node, (Temporal, Until)):
             fixpoint = {"EX": self.ex, "EU": self.eu, "EG": self.eg}
             universal, alternatives = self.dual(node)
-            # a union takes the keys of `eu`'s stages: its states
-            holds = frozenset().union(
-                *(fixpoint[kind](node.sigma, *operands)
-                  for kind, *operands in alternatives)
+            self.fixpoints[node] = record = tuple(
+                (kind, operands[-1], fixpoint[kind](node.sigma, *operands))
+                for kind, *operands in alternatives
             )
+            # a union takes the keys of `eu`'s stages: its states
+            holds = frozenset().union(*(result for _, _, result in record))
             return everywhere - holds if universal else holds
         raise TypeError(f"not a formula node: {node!r}")
 
@@ -754,49 +761,25 @@ def _extend_to_lasso(
 
 def _witness_path(labeling: Labeling, node: Formula) -> Lasso | None:
     """A lasso justifying a true existential / refuting a false universal
-    top-level temporal formula: the lasso of the first alternative of the
-    node's dual that holds at the initial state."""
-    if not isinstance(node, (Temporal, Until)):
-        return None
-    universal, alternatives = labeling.dual(node)
+    top-level temporal formula, from the first alternative recorded for it
+    that holds at the initial state: EX steps into its target, EU walks
+    down its stages and EG stays within its set."""
     init = labeling.lts.initial
-    if (init in labeling.sat[node]) == universal:
-        return None
-    sigma = node.sigma
     state_key = labeling.lts.framework.state_key
-    succ = lambda s: sorted(labeling.successors(sigma, s), key=state_key)
-
-    def ex(target: frozenset[State]) -> Lasso | None:
-        step = [t for t in succ(init) if t in target]
-        return _extend_to_lasso([init, step[0]], succ) if step else None
-
-    def eu(
-        through: frozenset[State], targets: frozenset[State]
-    ) -> Lasso | None:
-        """A lasso starting with the first (by `state_key`) of the shortest
-        selector-paths from init through `through`-states to a target: a
-        walk down the stages of E[through U targets]; None when init has
-        no stage."""
-        stages = labeling.eu(sigma, through, targets)
-        if init not in stages:
-            return None
+    succ = lambda s: sorted(labeling.successors(node.sigma, s), key=state_key)
+    for kind, target, result in labeling.fixpoints.get(node, ()):
+        if init not in result:
+            continue
+        if kind == "EG":
+            return _extend_to_lasso([init], succ, within=result)
         path = [init]
-        for stage in range(stages[init] - 1, -1, -1):
-            below = (t for t in succ(path[-1]) if stages.get(t) == stage)
-            path.append(next(below))
+        if kind == "EX":
+            path.append(next(t for t in succ(init) if t in target))
+        else:  # EU
+            for stage in range(result[init] - 1, -1, -1):
+                below = (t for t in succ(path[-1]) if result.get(t) == stage)
+                path.append(next(below))
         return _extend_to_lasso(path, succ)
-
-    def eg(target: frozenset[State]) -> Lasso | None:
-        good = labeling.eg(sigma, target)
-        if init not in good:
-            return None
-        return _extend_to_lasso([init], succ, within=good)
-
-    lassos = {"EX": ex, "EU": eu, "EG": eg}
-    for kind, *operands in alternatives:
-        lasso = lassos[kind](*operands)
-        if lasso is not None:
-            return lasso
     return None
 
 

@@ -34,7 +34,9 @@ def parse_framework(text: str) -> APAFramework:
     initial: list[tuple[str, int]] = []
     relations: dict[str, list[tuple]] = {section: [] for section in _RELATIONS}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at "\n" alone, as in the query tokenizer; `strip` drops a
+    # "\r" before it
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

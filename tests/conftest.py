@@ -1,6 +1,21 @@
 import pytest
 
+from apa.ctl import And, Not, Or, Visible
 from apa.model import framework
+from apa.oracle import random_formula
+
+
+def varying_operand(rng, fw, states):
+    """A random formula that tells `states` apart: the visibility of two
+    arguments that some of them show and some hide, and a random
+    subformula."""
+    varying = [
+        a for a in fw.arguments
+        if 0 < sum(a in s.visible for s in states) < len(states)
+    ] or list(fw.arguments)
+    x, y = (rng.choice(varying) for _ in "xy")
+    sub = random_formula(rng, fw, ("S1", "S2"), 1)
+    return Or(Visible(x), And(Not(Visible(y)), sub))
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@ import time
 
 import pytest
 
+from conftest import varying_operand
+
 from apa import ctl
 from apa.ctl import (
     And,
@@ -23,6 +25,7 @@ from apa.ctl import (
     parse_query,
     print_query,
 )
+from apa.dynamics import SelectorFamily, reachable
 from apa.errors import QuerySyntaxError, TooLarge, UnknownName, UnknownSelector
 from apa.model import State, framework
 from apa.oracle import (
@@ -348,26 +351,33 @@ def test_monotone_selector_families(oscillator):
 
 
 def both_sides(fw, query_sets, lhs, rhs):
+    """The labelling of `lhs`, once `rhs`, labelled on its own, is found
+    to hold at the same states."""
     q1 = Query(sets=query_sets, formula=lhs)
     q2 = Query(sets=query_sets, formula=rhs)
     l1, l2 = check(fw, q1).labeling, check(fw, q2).labeling
     states = set(l1.lts.states) & set(l2.lts.states)
     assert states
-    return all(
-        (s in l1.sat[lhs]) == (s in l2.sat[rhs]) for s in states
-    )
+    assert all((s in l1.sat[lhs]) == (s in l2.sat[rhs]) for s in states), lhs
+    return l1
 
 
 def test_duality_and_expansion_laws_sample():
+    """The laws on operands built from the visibility of arguments that
+    differ between the states reachable under {S1}, so that many of their
+    instances hold at some states and fail at others."""
     rng, rng_psi = random.Random(5), random.Random(6)
+    proper = 0
     for seed in range(60):
         fw = random_framework(
             RandomInstanceSpec(n_args=4, n_induce=1, n_convert=2, seed=3000 + seed)
         )
         query = random_query(rng, fw, n_sets=2, depth=2)
-        phi = query.formula
-        psi = random_formula(rng_psi, fw, ("S1", "S2"), 2)
         sigma = ("S1",)
+        family = SelectorFamily((query.bindings()["S1"],))
+        states = reachable(fw, family).states
+        phi = varying_operand(rng, fw, states)
+        psi = varying_operand(rng_psi, fw, states)
         eu = Until("E", sigma, phi, psi)
         eg = Temporal("EG", sigma, phi)
         laws = [
@@ -392,7 +402,9 @@ def test_duality_and_expansion_laws_sample():
             ),
         ]
         for lhs, rhs in laws:
-            assert both_sides(fw, query.sets, lhs, rhs)
+            labeling = both_sides(fw, query.sets, lhs, rhs)
+            proper += 0 < len(labeling.sat[lhs]) < len(labeling.everywhere)
+    assert proper >= 75
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -506,6 +518,43 @@ def test_witnesses_prove_their_verdicts():
                 first = next(i for i, s in enumerate(path) if s in targets)
                 assert first == bfs_distance(labeling, sigma, through, targets)
     assert all(lassos.values()), lassos
+
+
+def counted(calls, method):
+    def wrapper(self, *args):
+        calls.append(method.__name__)
+        return method(self, *args)
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "text, fixpoints",
+    [
+        ("EX{*} visible(a4)", ["ex"]),
+        ("AX{*} visible(a1)", ["ex"]),
+        ("EF{*} visible(a3)", ["eu"]),
+        ("AF{*} visible(a3)", ["eg"]),
+        ("EG{*} visible(a1)", ["eg"]),
+        ("AG{*} visible(a1)", ["eu"]),
+        ("E{*}[visible(a1) U visible(a3)]", ["eu"]),
+        ("A{*}[visible(a1) U visible(a3)]", ["eu", "eg"]),
+        ("A{*}[true U false]", ["eu", "eg"]),
+    ],
+)
+def test_each_fixpoint_runs_once_per_check(
+    oscillator, monkeypatch, text, fixpoints
+):
+    """A check whose root is its only temporal node runs one fixpoint per
+    alternative of the root's dual, lasso included: the witness walks what
+    the labelling recorded."""
+    calls = []
+    for name in ("ex", "eu", "eg"):
+        method = getattr(ctl.Labeling, name)
+        monkeypatch.setattr(ctl.Labeling, name, counted(calls, method))
+    result = check(oscillator, parse_query("formula: " + text))
+    assert result.witness is not None
+    assert calls == fixpoints
 
 
 def test_ag_counterexample(elma):

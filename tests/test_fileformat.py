@@ -44,6 +44,19 @@ def test_parse_bad_section():
     assert excinfo.value.line == 2
 
 
+def test_parse_breaks_lines_only_at_newline(elma):
+    """A U+2028 in a comment or a form feed at the end of a line neither
+    starts a line nor shifts the line count; "\r\n" text parses too."""
+    fw = parse_framework("# caf\u00e9\u2028note\n" + ELMA_FILE)
+    assert fw == elma
+    with pytest.raises(ValidationError) as excinfo:
+        parse_framework("arguments: a2 a3 \x0c\ninitial: zz")
+    assert [str(issue) for issue in excinfo.value.issues] == [
+        "BadInitial: zz (line 2)"
+    ]
+    assert parse_framework(ELMA_FILE.replace("\n", "\r\n")) == elma
+
+
 def test_parse_bad_attack_arrow():
     with pytest.raises(QuerySyntaxError):
         parse_framework("arguments: a b\nattack: a => b\n")

@@ -5,16 +5,13 @@ arguments, 12 acts)."""
 import functools
 import random
 
+from conftest import varying_operand
+
 from apa import ctl
-from apa.ctl import And, Bottom, Not, Or, Query, Temporal, Until, Visible
+from apa.ctl import And, Bottom, Not, Or, Query, Temporal, Until
 from apa.dynamics import ALL, reachable, successor_states
 from apa.model import framework
-from apa.oracle import (
-    RandomInstanceSpec,
-    random_formula,
-    random_framework,
-    random_refset,
-)
+from apa.oracle import RandomInstanceSpec, random_framework, random_refset
 from apa.semantics import extensions
 
 #: Small frameworks in the oracle's range, then larger ones past it: an
@@ -92,19 +89,6 @@ def unfoldings(sigma, p, q):
             )),
         ),
     ]
-
-
-def varying_operand(rng, fw, states):
-    """A random formula that tells `states` apart: the visibility of two
-    arguments that some of them show and some hide, and a random
-    subformula."""
-    varying = [
-        a for a in fw.arguments
-        if 0 < sum(a in s.visible for s in states) < len(states)
-    ] or list(fw.arguments)
-    x, y = (rng.choice(varying) for _ in "xy")
-    sub = random_formula(rng, fw, ("S1", "S2"), 1)
-    return Or(Visible(x), And(Not(Visible(y)), sub))
 
 
 def test_unfoldings_past_the_oracle():
