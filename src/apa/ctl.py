@@ -11,7 +11,10 @@ superscript `{Name,...}` or `{*}`; until is written `A{S}[p U q]` /
 `E{S}[p U q]`. Atoms: `true`, `false`, `in(arg, Set)`, `sem(ad|co|pr|st|gr,
 Set)`, `visible(arg)` and the macro `exact(Set, Set)`. An inline `{a,b}`
 literal may stand for a set operand or a selector; it binds a fresh name.
-In the AST a selector is a tuple of set names, or None for `{*}`.
+In the AST a selector is a tuple of set names, or None for `{*}`. AST
+nodes are immutable: two nodes are equal when they are of the same class
+and their fields are equal, and each node caches its hash when it is built,
+so a formula of any depth keys the labelling's tables in constant time.
 
 Temporal operators range over transitions whose reference set is drawn
 from their own selector family; a state with no outgoing edge for a family
@@ -30,7 +33,7 @@ walks down those stages, so it is a shortest path.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import dynamics, semantics
 from .dynamics import LTS, SelectorFamily
@@ -39,7 +42,7 @@ from .model import NAME, APAFramework, State
 
 SEMANTICS_LABELS = set(semantics.LABELS)
 UNARY_TEMPORAL = ("AX", "EX", "AF", "EF", "AG", "EG")
-#: Deepest formula the parser accepts. Parsing, printing and hashing the AST
+#: Deepest formula the parser accepts. Parsing, printing and comparing the AST
 #: recurse, so depth must stay well below Python's recursion limit.
 MAX_NESTING = 100
 
@@ -49,89 +52,110 @@ MAX_NESTING = 100
 
 
 class Formula:
-    """Base class for query AST nodes (all frozen, hashable)."""
+    """Base class of the query AST nodes.
+
+    A node class lists its fields, in order, as its `__slots__`; nodes are
+    built from positional fields and refuse assignment. Two nodes are equal
+    when they are of the same class and their fields are equal, so
+    `And(p, q) != Or(p, q)`. A node's hash is computed once, when it is
+    built, from its class name and its fields, whose own hashes are cached
+    already: hashing costs the same at any depth.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(names)} fields, "
+                f"got {len(values)}"
+            )
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *values)))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __reduce__(self):  # copy and pickle rebuild through `__init__`
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = (f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class In(Formula):
-    arg: str
-    setname: str
+    __slots__ = ("arg", "setname")
 
 
-@dataclass(frozen=True)
 class Sem(Formula):
-    label: str
-    setname: str
+    __slots__ = ("label", "setname")
 
 
-@dataclass(frozen=True)
 class Visible(Formula):
-    arg: str
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Exact(Formula):
     """Macro: the operand set contains exactly the members of `setname`
     (membership conjunction over every declared argument)."""
 
-    setname: str
-    operand: str
+    __slots__ = ("setname", "operand")
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = ("sub",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
 #: Selector superscript: a tuple of set names, or None for `{*}`.
 Sigma = tuple[str, ...] | None
 
 
-@dataclass(frozen=True)
 class Temporal(Formula):
-    op: str  # one of UNARY_TEMPORAL
-    sigma: Sigma
-    sub: Formula
+    __slots__ = ("op", "sigma", "sub")  # op: one of UNARY_TEMPORAL
 
 
-@dataclass(frozen=True)
 class Until(Formula):
-    quant: str  # "A" or "E"
-    sigma: Sigma
-    left: Formula
-    right: Formula
+    __slots__ = ("quant", "sigma", "left", "right")  # quant: "A" or "E"
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     """Named-set bindings plus the formula to check."""
 
     sets: tuple[tuple[str, frozenset[str]], ...]
@@ -163,8 +187,7 @@ def _operands(node: Formula) -> list[tuple[str, str]]:
     """(kind, value) of each operand of an atom node, in field order; none
     for any other node."""
     kinds = _ATOMS.get(type(node), ("", ()))[1]
-    values = (getattr(node, f.name) for f in fields(node))
-    return list(zip(kinds, values))
+    return list(zip(kinds, node._values()))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +197,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>[ \t]+)
   | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
+  | (?P<nl>\r?\n)
   | (?P<arrow>->)
   | (?P<name>""" + NAME + r""")
   | (?P<punct>[(){}\[\],!&|=:*])
@@ -183,8 +206,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "name", "punct", "arrow", "eof"
     text: str
     line: int
@@ -725,16 +747,14 @@ class Labeling:
 # check() with witness extraction
 
 
-@dataclass(frozen=True)
-class Lasso:
+class Lasso(NamedTuple):
     """A path witness: a finite prefix followed by a cycle."""
 
     prefix: tuple[State, ...]
     cycle: tuple[State, ...]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     value: bool
     witness: Lasso | None
     labeling: Labeling

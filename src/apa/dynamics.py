@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import TooLarge
 from .model import APAFramework, PersuasionAct, State
@@ -31,8 +31,7 @@ from .model import APAFramework, PersuasionAct, State
 DEFAULT_MAX_STATES = 4096
 
 
-@dataclass(frozen=True)
-class SelectorFamily:
+class SelectorFamily(NamedTuple):
     """A family of reference-set selectors for building an LTS.
 
     `selectors` is an ordered tuple of reference sets, or None for the
@@ -59,20 +58,28 @@ class SelectorFamily:
 ALL = SelectorFamily(None)
 
 
-@dataclass(frozen=True)
 class LTS:
     """Reachable states plus transitions labeled by selector index.
 
     The transition relation is stored once: `tables[i]` maps every state
     to the set `successor_states` gave for it under selector `i`; `edges`
     and `deadlocks` are derived from them on first use, in canonical order.
+    Immutable by convention.
     """
 
-    framework: APAFramework
-    family: SelectorFamily
-    states: tuple[State, ...]
-    initial: State
-    tables: tuple[dict[State, frozenset[State]], ...]
+    def __init__(
+        self,
+        framework: APAFramework,
+        family: SelectorFamily,
+        states: tuple[State, ...],
+        initial: State,
+        tables: tuple[dict[State, frozenset[State]], ...],
+    ):
+        self.framework = framework
+        self.family = family
+        self.states = states
+        self.initial = initial
+        self.tables = tables
 
     @functools.cached_property
     def edges(self) -> tuple[tuple[State, int, State], ...]:

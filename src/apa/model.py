@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -29,13 +28,12 @@ from .errors import (
 NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 
 
-@dataclass(frozen=True)
-class PersuasionAct:
+class PersuasionAct(NamedTuple):
     """A persuasion triple (source, trigger, target).
 
     trigger is None for an induce act (the target is merely made visible)
     and an argument id for a convert act (the trigger is dropped in favour
-    of the target).
+    of the target). Acts hash and compare as their field tuples.
     """
 
     source: str
@@ -68,7 +66,6 @@ class Masks(NamedTuple):
     moves: dict[PersuasionAct, tuple[int, int]]
 
 
-@dataclass(frozen=True)
 class APAFramework:
     """The immutable input artifact: arguments, attacks, persuasion acts
     and the initially visible set.
@@ -76,12 +73,43 @@ class APAFramework:
     `arguments` fixes the declaration order; use `sort_args` to emit any
     argument collection canonically. Construct via `validate` or the
     `framework` convenience helper, which enforce the invariants.
+    Immutable by convention: frameworks are equal when their four fields
+    are, and the hash is computed once, at construction.
     """
 
-    arguments: tuple[str, ...]
-    attacks: frozenset[tuple[str, str]]
-    persuasions: frozenset[PersuasionAct]
-    initial: frozenset[str]
+    def __init__(
+        self,
+        arguments: tuple[str, ...],
+        attacks: frozenset[tuple[str, str]],
+        persuasions: frozenset[PersuasionAct],
+        initial: frozenset[str],
+    ):
+        self.arguments = arguments
+        self.attacks = attacks
+        self.persuasions = persuasions
+        self.initial = initial
+        self._hash = hash(self._fields())
+
+    def _fields(self) -> tuple:
+        return self.arguments, self.attacks, self.persuasions, self.initial
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash and self._fields() == other._fields()
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # unpickling rehashes, under the new process's seed
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        names = ("arguments", "attacks", "persuasions", "initial")
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
+        return f"APAFramework({fields})"
 
     # -- canonical ordering ------------------------------------------------
 
@@ -235,11 +263,7 @@ def framework(
     (source, trigger, target) triples with trigger None for induce."""
     induces = []
     converts = []
-    for act in persuasions:
-        if isinstance(act, PersuasionAct):
-            src, trig, tgt = act.source, act.trigger, act.target
-        else:
-            src, trig, tgt = act
+    for src, trig, tgt in persuasions:
         if trig is None:
             induces.append((src, tgt, None))
         else:

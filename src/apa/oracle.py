@@ -21,8 +21,8 @@ All randomness is seeded; a spec fully determines its instance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .ctl import (
     And, Bottom, Exact, Formula, Implies, In, Not, Or, Query, Sem, Sigma,
@@ -339,8 +339,7 @@ def bounded_path_eval(
 # Seeded random instances
 
 
-@dataclass(frozen=True)
-class RandomInstanceSpec:
+class RandomInstanceSpec(NamedTuple):
     """Parameters of one seeded random framework; the seed fully
     determines the instance."""
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 
@@ -86,6 +88,31 @@ def test_syntax_error_carries_position():
     with pytest.raises(QuerySyntaxError) as excinfo:
         parse_query("formula: (true &")
     assert excinfo.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "text", [EXAMPLE_QUERY, "set S = {a}\nformula: true\n"]
+)
+def test_crlf_query_parses_as_lf(text):
+    assert parse_query(text.replace("\n", "\r\n")) == parse_query(text)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("set S = {a}\r\nformula: ^ true\r\n", (2, 10)),
+        ("set S = {a}\r\nformula: (true &\r\n", (3, 1)),
+        # `A` is reserved: the same error as the LF text, not a stray "\r"
+        ("set A = {a}\r\nformula: true\r\n", (1, 5)),
+    ],
+)
+def test_crlf_syntax_error_reports_its_line(text, position):
+    with pytest.raises(QuerySyntaxError) as crlf:
+        parse_query(text)
+    with pytest.raises(QuerySyntaxError) as lf:
+        parse_query(text.replace("\r\n", "\n"))
+    assert str(crlf.value) == str(lf.value)
+    assert (crlf.value.line, crlf.value.column) == position
 
 
 @pytest.mark.parametrize(
@@ -599,3 +626,115 @@ def test_counterexample_labels_only_query_subformulas(elma, text):
     result = check(elma, query)
     assert not result.value and result.witness is not None
     assert set(result.labeling.sat) == set(ctl._subformulas(query.formula))
+
+
+# -- AST nodes and records ---------------------------------------------------
+
+
+def test_and_or_over_same_operands_stay_apart(elma):
+    p, q = Visible("a2"), Visible("a5")
+    assert And(p, q) != Or(p, q)
+    query = Query(sets=(), formula=Implies(And(p, q), Or(p, q)))
+    sat = check(elma, query).labeling.sat
+    assert len(sat) == 5
+    assert sat[And(p, q)] != sat[Or(p, q)]
+    assert sat[And(p, q)] == sat[p] & sat[q]
+    assert sat[Or(p, q)] == sat[p] | sat[q]
+
+
+def test_equal_nodes_built_apart_share_one_key(elma):
+    def build():
+        return Temporal("EF", None, And(Visible("a5"), Not(Visible("a4"))))
+
+    first, second = build(), build()
+    assert first is not second and first.sub is not second.sub
+    assert first == second and hash(first) == hash(second)
+    assert len({first: 1, second: 2}) == 1
+    query = Query(sets=(), formula=Or(first, second))
+    assert set(check(elma, query).labeling.sat) == {
+        Visible("a5"), Visible("a4"), Not(Visible("a4")), first.sub, first,
+        Or(first, second),
+    }
+
+
+def test_nodes_compare_class_and_fields():
+    assert Top() == Top() and Top() != Bottom()
+    assert Visible("a") != Visible("b")
+    assert Temporal("EF", None, Top()) != Temporal("EF", ("A",), Top())
+    assert Until("E", None, Top(), Bottom()) != Until("A", None, Top(), Bottom())
+    assert Not(Top()) != (Top(),)
+    assert repr(And(Visible("a"), Top())) == "And(left=Visible(arg='a'), right=Top())"
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (Not(Top()), "sub"),
+        (Until("E", None, Top(), Top()), "left"),
+        (Visible("a"), "arg"),
+        (Query(sets=(), formula=Top()), "formula"),
+        (Lasso(prefix=(), cycle=()), "cycle"),
+    ],
+)
+def test_records_refuse_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, Bottom())
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_queries_survive_copy_and_pickle():
+    query = parse_query(EXAMPLE_QUERY)
+    for twin in (copy.copy(query), copy.deepcopy(query),
+                 pickle.loads(pickle.dumps(query))):
+        assert twin == query and hash(twin.formula) == hash(query.formula)
+
+
+def test_records_build_from_keywords():
+    state = State(frozenset({"a"}))
+    query = Query(sets=(("A", frozenset({"a"})),), formula=Top())
+    assert query.implicit == frozenset() and query.bindings() == {
+        "A": frozenset({"a"})
+    }
+    lasso = Lasso(prefix=(), cycle=(state,))
+    assert (lasso.prefix, lasso.cycle) == ((), (state,))
+    spec = RandomInstanceSpec(14, 0.15, 0, 0, initial_density=1.0, seed=1)
+    assert (spec.n_args, spec.n_induce, spec.initial_density, spec.seed) == (
+        14, 0, 1.0, 1
+    )
+    assert spec == RandomInstanceSpec(
+        n_args=14, attack_density=0.15, n_induce=0, n_convert=0,
+        initial_density=1.0, seed=1,
+    )
+
+
+def test_subformula_fields_keep_their_names():
+    """Scripts walk formulas by the attribute names `sub`, `left` and
+    `right`, reading None where a node has no such field."""
+    p, q = Visible("a"), Top()
+    assert Not(p).sub is p and Temporal("AX", None, p).sub is p
+    for node in (And(p, q), Or(p, q), Implies(p, q), Until("A", None, p, q)):
+        assert (node.left, node.right) == (p, q)
+        assert getattr(node, "sub", None) is None
+    assert getattr(Not(p), "left", None) is None
+
+
+def test_hashing_is_linear_in_depth(elma, monkeypatch):
+    """Each node hashes once, when it is built: labelling a chain of 99
+    `EX` nodes costs a few `__hash__` calls per node, not one per node
+    below it for every lookup."""
+    depth = 99
+    query = parse_query("formula: " + "EX{*} " * depth + "visible(a5)")
+    calls = []
+
+    def counted_hash(hash_node):
+        def wrapper(node):
+            calls.append(node)
+            return hash_node(node)
+        return wrapper
+
+    for cls in ctl.Formula.__subclasses__():
+        monkeypatch.setattr(cls, "__hash__", counted_hash(cls.__hash__))
+    labeling = ctl.Labeling(elma, query)
+    assert len(labeling.sat) == depth + 1
+    assert depth < len(calls) <= 8 * (depth + 1)

@@ -1,3 +1,9 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from apa.errors import (
@@ -148,3 +154,46 @@ def test_sorted_output_follows_declaration_order():
     fw = framework(["z", "m", "a"])
     assert fw.sort_args(["a", "z", "m"]) == ("z", "m", "a")
     assert fw.format_set(["a", "z"]) == "{z,a}"
+
+
+def test_act_hashes_as_its_field_tuple():
+    act = PersuasionAct("a3", "a4", "a5")
+    assert hash(act) == hash(("a3", "a4", "a5"))
+    assert hash(PersuasionAct("a3", None, "a5")) == hash(("a3", None, "a5"))
+
+
+def test_frameworks_compare_by_value(elma):
+    twin = framework(
+        ["a2", "a3", "a4", "a5"], [("a2", "a3")], [("a3", "a4", "a5")],
+        ["a2", "a3", "a4"],
+    )
+    assert twin is not elma and twin == elma and hash(twin) == hash(elma)
+    assert len({elma: 1, twin: 2}) == 1
+    assert hash(elma) == hash(
+        (elma.arguments, elma.attacks, elma.persuasions, elma.initial)
+    )
+    other = framework(elma.arguments, elma.attacks, elma.persuasions, ["a2"])
+    assert other != elma
+    assert elma != (elma.arguments, elma.attacks, elma.persuasions, elma.initial)
+    assert repr(framework(["a"])) == (
+        "APAFramework(arguments=('a',), attacks=frozenset(), "
+        "persuasions=frozenset(), initial=frozenset())"
+    )
+
+
+def test_framework_unpickles_with_this_process_hash(elma):
+    """A framework pickled under another string-hash seed hashes, once
+    loaded, as an equal framework built here."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="1")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import pickle, sys; from apa.fileformat import parse_framework; "
+         "sys.stdout.buffer.write(pickle.dumps(parse_framework("
+         "'arguments: a2 a3 a4 a5\\ninitial: a2 a3 a4\\nattack: a2 -> a3\\n"
+         "convert: a3 : a4 => a5\\n')))"],
+        env=env, capture_output=True, timeout=60,
+    )
+    twin = pickle.loads(proc.stdout)
+    assert twin == elma and hash(twin) == hash(elma)
+    assert {elma: 1}[twin] == 1
