@@ -16,7 +16,6 @@ document.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -67,6 +66,13 @@ def _read(path: str) -> str:
         raise ApaError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _print_json(doc, out) -> None:
+    """Print `doc` as canonical JSON. Only `--json` output imports `json`."""
+    import json
+
+    print(json.dumps(doc, sort_keys=True), file=out)
+
+
 def _state_doc(fw: APAFramework, state: State) -> list[str]:
     return list(fw.sort_args(state.visible))
 
@@ -85,7 +91,7 @@ def cmd_states(args, out) -> int:
                 for s in lts.states
             ]
         }
-        print(json.dumps(doc, sort_keys=True), file=out)
+        _print_json(doc, out)
         return 0
     for s in lts.states:
         marks = []
@@ -119,7 +125,7 @@ def cmd_transitions(args, out) -> int:
                 for src, sel, dst in lts.edges
             ]
         }
-        print(json.dumps(doc, sort_keys=True), file=out)
+        _print_json(doc, out)
         return 0
     names = {s: fw.format_set(s.visible) for s in lts.states}
     for src, sel, dst in lts.edges:
@@ -145,7 +151,7 @@ def cmd_semantics(args, out) -> int:
             "state": _state_doc(fw, state),
             "extensions": [list(fw.sort_args(e)) for e in exts],
         }
-        print(json.dumps(doc, sort_keys=True), file=out)
+        _print_json(doc, out)
         return 0
     for ext in exts:
         print(fw.format_set(ext), file=out)
@@ -166,7 +172,7 @@ def cmd_check(args, out) -> int:
                 "cycle": [_state_doc(fw, s) for s in result.witness.cycle],
             }
         doc = {"value": result.value, "witness": witness}
-        print(json.dumps(doc, sort_keys=True), file=out)
+        _print_json(doc, out)
     else:
         print("true" if result.value else "false", file=out)
         if result.witness is not None:

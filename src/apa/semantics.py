@@ -6,23 +6,23 @@ Defence answers persuasion as well as attack: a member's threats are its
 visible attackers and the visible sources of the convert acts that drop
 it, and the candidate defends it when a visible member attacks every
 threat, which also screens those acts out under the candidate as
-reference set. `_answered` states defence once, on `APAFramework.masks`,
-which the search and every membership test read. Complete / preferred /
-stable / grounded refine this in the usual way, with completeness closure
-restricted to visible arguments.
+reference set. `_answered` states defence once, on `APAFramework.masks`.
 
-Defence is monotone in the candidate, so Dung's fundamental lemma carries
-over: the grounded set is the least fixpoint of the characteristic
-function R -> {visible a : R defends a}, reached by iteration from the
-empty set, a preferred set is a maximal complete set, and a stable set is
-an admissible set attacking every visible non-member. `holds` is the one
-definition of each label for a given set. The `ad` and `co` extensions
-are listed by a pruned search that labels the visible arguments IN or
-OUT (`_search`), not by testing every visible subset; `pr` and `st` are
-filtered from the complete sets through `holds`. `max_args` bounds the
-visible arguments of a listing and of a `pr` test, since both search the
-complete sets; `gr` and the other membership tests are polynomial and
-unbounded.
+Dung's characteristic function F(R) = {visible a : R defends a} is
+computed once, on masks, by `_defended`. Admissibility asks R <= F(R)
+(`is_defended`); completeness asks that F(R) hold no visible non-member
+(`is_complete` and the search's cut on OUT arguments), so closure is
+restricted to visible arguments; the grounded set is F's least fixpoint,
+iterated from the empty set. F is monotone, so Dung's fundamental lemma
+carries over: a preferred set is a maximal complete set, and a stable set
+is an admissible set attacking every visible non-member. `holds` is the
+one definition of each label for a given set. The `ad` and `co`
+extensions are listed by a pruned search that labels the visible
+arguments IN or OUT (`_search`), not by testing every visible subset;
+`pr` and `st` are filtered from the complete sets through `holds`.
+`max_args` bounds the visible arguments of a listing and of a `pr` test,
+since both search the complete sets; `gr` and the other membership tests
+are polynomial and unbounded.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 
 from .errors import TooLarge
-from .model import APAFramework, State, bit_positions
+from .model import APAFramework, Masks, State, bit_positions
 
 LABELS = ("ad", "co", "pr", "st", "gr")
 
@@ -53,14 +53,18 @@ def is_conflict_free(fw: APAFramework, candidate: frozenset[str], state: State) 
     return not any(clash[i] & inn for i in bit_positions(inn))
 
 
+def _defended(masks: Masks, inn: int, vis: int, among: int) -> int:
+    """The members of `among` whose visible threats `inn` answers: Dung's
+    characteristic function F(inn), restricted to `among`, on masks."""
+    attackers, threats = masks.attackers, masks.threats
+    return sum(1 << a for a in bit_positions(among)
+               if _answered(attackers, inn, threats[a] & vis))
+
+
 def is_defended(fw: APAFramework, candidate: frozenset[str], state: State) -> bool:
     """Whether `candidate` answers every visible threat to its members."""
-    masks = fw.masks
     inn = fw.mask(candidate & state.visible)
-    threats = 0
-    for i in bit_positions(inn):
-        threats |= masks.threats[i]
-    return _answered(masks.attackers, inn, threats & fw.mask(state.visible))
+    return _defended(fw.masks, inn, fw.mask(state.visible), inn) == inn
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,19 +76,6 @@ def is_admissible(fw: APAFramework, candidate: frozenset[str], state: State) -> 
     )
 
 
-def characteristic(
-    fw: APAFramework, candidate: frozenset[str], state: State
-) -> frozenset[str]:
-    """The visible arguments that `candidate` defends at `state`."""
-    masks = fw.masks
-    vis = fw.mask(state.visible)
-    inn = fw.mask(candidate & state.visible)
-    return fw.members(sum(
-        1 << i for i in bit_positions(vis)
-        if _answered(masks.attackers, inn, masks.threats[i] & vis)
-    ))
-
-
 @functools.lru_cache(maxsize=None)
 def is_complete(fw: APAFramework, candidate: frozenset[str], state: State) -> bool:
     """Admissible and containing every *visible* argument it defends.
@@ -93,9 +84,10 @@ def is_complete(fw: APAFramework, candidate: frozenset[str], state: State) -> bo
     invisible argument by definition, so a literal closure would force
     invisible members and contradict properness.
     """
-    return is_admissible(fw, candidate, state) and (
-        characteristic(fw, candidate, state) <= candidate
-    )
+    if not is_admissible(fw, candidate, state):
+        return False
+    inn, vis = fw.mask(candidate), fw.mask(state.visible)
+    return not _defended(fw.masks, inn, vis, vis & ~inn)
 
 
 def _search(
@@ -109,10 +101,10 @@ def _search(
     if it clashes neither with itself nor with the IN set. A branch is cut
     when some threat to an IN member has no attacker left that is IN or
     undecided and clash-free with the IN set, since no labelling below it
-    can defend that member. With `complete`, a branch is also cut when the
-    IN set defends an argument already OUT: defence is monotone, so every
-    IN set below it defends that argument too. Each leaf that survives is
-    an admissible (complete) IN set.
+    can defend that member. With `complete`, a branch is also cut when
+    `_defended` finds an OUT argument that the IN set defends: F is
+    monotone, so every IN set below it defends that argument too. Each
+    leaf that survives is an admissible (complete) IN set.
     """
     if len(state.visible) > max_args:
         raise TooLarge(
@@ -129,8 +121,7 @@ def _search(
         rest, inn, out, clashing, threatened = stack.pop()
         if not _answered(attackers, inn | rest & ~clashing, threatened):
             continue
-        if complete and any(_answered(attackers, inn, threats[o] & vis)
-                            for o in bit_positions(out)):
+        if complete and _defended(masks, inn, vis, out):
             continue
         if not rest:
             found.append(inn)
@@ -157,15 +148,16 @@ def complete_sets(
 
 @functools.lru_cache(maxsize=None)
 def grounded_set(fw: APAFramework, state: State) -> frozenset[str]:
-    """The least fixpoint of `characteristic`, iterated from the empty set.
-    Each iterate is admissible, so the fixpoint is the least complete set,
-    the intersection of all complete sets at `state`. Cached per state like
-    `complete_sets`, since `sem(gr, X)` atoms ask for it at every state once
-    per candidate set X."""
-    grounded = frozenset()
-    while (nxt := characteristic(fw, grounded, state)) != grounded:
+    """The least fixpoint of the characteristic function, iterated from the
+    empty set on masks. Each iterate is admissible, so the fixpoint is the
+    least complete set, the intersection of all complete sets at `state`.
+    Cached per state like `complete_sets`, since `sem(gr, X)` atoms ask for
+    it at every state once per candidate set X."""
+    masks, vis = fw.masks, fw.mask(state.visible)
+    grounded = 0
+    while (nxt := _defended(masks, grounded, vis, vis)) != grounded:
         grounded = nxt
-    return grounded
+    return fw.members(grounded)
 
 
 def holds(

@@ -1,5 +1,6 @@
 import pytest
 
+from apa import semantics
 from apa.ctl import And, Not, Or, Visible
 from apa.model import framework
 from apa.oracle import random_formula
@@ -16,6 +17,14 @@ def varying_operand(rng, fw, states):
     x, y = (rng.choice(varying) for _ in "xy")
     sub = random_formula(rng, fw, ("S1", "S2"), 1)
     return Or(Visible(x), And(Not(Visible(y)), sub))
+
+
+def characteristic(fw, candidate, state):
+    """F(candidate): the visible arguments that `candidate` defends at
+    `state`, read from the engine's characteristic function on masks."""
+    vis = fw.mask(state.visible)
+    inn = fw.mask(candidate & state.visible)
+    return fw.members(semantics._defended(fw.masks, inn, vis, vis))
 
 
 @pytest.fixture

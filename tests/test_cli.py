@@ -254,15 +254,17 @@ def test_cli_import_leaves_query_engine_unloaded():
 def test_package_import_leaves_dataclasses_unloaded():
     """Each CLI call is a fresh process: the package's records are
     NamedTuples and plain classes, so importing it never loads
-    `dataclasses` (and what that imports). `-S` keeps site-packages out."""
+    `dataclasses` (and what that imports), and only `--json` output loads
+    `json`. `-S` keeps site-packages out."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import apa.cli, apa.ctl, sys; print('dataclasses' in sys.modules)"],
+         "import apa.cli, apa.ctl, sys; "
+         "print([m for m in ('dataclasses', 'json') if m in sys.modules])"],
         env=env, capture_output=True, text=True, timeout=60,
     )
-    assert proc.stdout == "False\n", proc.stderr
+    assert proc.stdout == "[]\n", proc.stderr
 
 
 @pytest.mark.parametrize(

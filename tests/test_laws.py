@@ -5,14 +5,14 @@ arguments, 12 acts)."""
 import functools
 import random
 
-from conftest import varying_operand
+from conftest import characteristic, varying_operand
 
 from apa import ctl
 from apa.ctl import And, Bottom, Not, Or, Query, Temporal, Until
 from apa.dynamics import ALL, reachable, successor_states
 from apa.model import framework
 from apa.oracle import RandomInstanceSpec, random_framework, random_refset
-from apa.semantics import extensions
+from apa.semantics import extensions, grounded_set
 
 #: Small frameworks in the oracle's range, then larger ones past it: an
 #: explore rung of the benchmark's ladder (14 arguments, 16 acts) and three
@@ -179,3 +179,47 @@ def test_label_chain_on_static_frames():
         assert grounded in found["co"]
         assert all(grounded <= c for c in found["co"])
         assert found["pr"]
+
+
+def test_characteristic_function_laws():
+    """Dung's characteristic function F(S), the visible arguments S defends:
+    F is monotone along random chains S <= T, every admissible set has
+    S <= F(S), every complete set has S = F(S), and the grounded set is
+    F's fixpoint iterated from the empty set. The empty set is always
+    admissible, so it heads every `ad` listing. Checked at every reachable
+    state of the 14- and 18-argument frameworks and on the static frames
+    of the extensions rungs."""
+    rng = random.Random(15)
+    frames = [
+        (fw, reachable(fw, ALL).states)
+        for fw in map(random_framework, PERSISTENCE_SPECS[40:])
+    ] + [
+        (fw, [fw.initial_state])
+        for fw in map(random_framework, EXTENSIONS_SPECS)
+    ]
+    grew = nonempty = 0
+    for fw, states in frames:
+        for state in states:
+            vis = fw.sort_args(state.visible)
+            F = functools.partial(characteristic, fw, state=state)
+            for _ in range(4):
+                chain = [frozenset()]
+                for arg in rng.sample(vis, len(vis)):
+                    if rng.random() < 0.4:
+                        chain.append(chain[-1] | {arg})
+                images = [F(S) for S in chain]
+                assert all(a <= b for a, b in zip(images, images[1:])), \
+                    (fw, state, chain)
+                grew += images[0] < images[-1]
+            admissible = extensions(fw, "ad", state)
+            assert admissible[:1] == (frozenset(),), (fw, state)
+            for S in admissible:
+                assert S <= F(S), (fw, state, S)
+            for S in extensions(fw, "co", state):
+                assert F(S) == S, (fw, state, S)
+            grounded = frozenset()
+            while F(grounded) != grounded:
+                grounded = F(grounded)
+            assert grounded_set(fw, state) == grounded, (fw, state)
+            nonempty += bool(grounded)
+    assert grew > 100 and nonempty > 100

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import characteristic
+
 from apa.errors import (
     ApaError,
     BadArgumentName,
@@ -16,7 +18,6 @@ from apa.errors import (
     ValidationError,
 )
 from apa.model import PersuasionAct, State, framework
-from apa.semantics import characteristic
 
 
 def test_elma_framework_valid(elma):

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from apa import ctl, dynamics, semantics
+from conftest import characteristic
+
+from apa import ctl, dynamics
 from apa.dynamics import ALL, reachable
 from apa.errors import TooLarge
 from apa.model import framework
@@ -76,8 +78,10 @@ def test_engine_agrees_with_bruteforce_seed42():
 def test_fold_and_elimination_agree_with_bruteforce():
     # at every reachable state of 200 instances with 6-12 acts (the
     # oracle's cap is 12), under the empty and a random reference set: the
-    # fold yields the oracle's successors, and `characteristic` finds an
-    # argument eliminable exactly when some oracle successor drops it
+    # fold yields the oracle's successors, and the engine's characteristic
+    # function (`semantics._defended`, through `conftest.characteristic`)
+    # defends a visible argument exactly when the reference set answers its
+    # visible attackers and no oracle successor drops it
     rng = random.Random(5)
     instances = decisive = 0
     for seed in itertools.count(80000):
@@ -104,7 +108,7 @@ def test_fold_and_elimination_agree_with_bruteforce():
                     kept = all(arg in t.visible for t in succ)
                     decisive += answered and not kept
                     assert (arg not in state.visible or arg in
-                            semantics.characteristic(fw, refset, state)) == \
+                            characteristic(fw, refset, state)) == \
                         (answered and kept), (seed, state, refset, arg)
         instances += 1
         if instances == 200:

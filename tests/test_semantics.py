@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import characteristic
+
 from apa import semantics
 from apa.dynamics import ALL, reachable
 from apa.errors import TooLarge, UnknownName
@@ -13,7 +15,6 @@ from apa.oracle import (
     random_framework,
 )
 from apa.semantics import (
-    characteristic,
     complete_sets,
     extensions,
     grounded_set,
