@@ -8,14 +8,16 @@ were converted and making every target visible; an argument both dropped
 and (re)made visible in the same step stays visible (the effects offset).
 
 Acts are screened, and successors computed, on the framework's `int` bit
-masks over the declaration order (`APAFramework.masks`); states are
-encoded and decoded by `APAFramework.mask` and `.members`. Two possible
-acts are linked when they share a trigger or target argument; sources do
-not link them, since screening reads only the state before the step. Each
-connected group of acts is folded on its own, and the successors are the
-product of the groups' outcomes. The product is exact because the groups
-touch disjoint arguments: which of a group's arguments end up visible
-depends only on which of its own acts fire. Callers see only `State`s.
+masks over the declaration order (`APAFramework.masks`). A state is
+encoded by `APAFramework.mask`; a target is looked up by its mask in
+`APAFramework.state_of`, so each state is decoded once per framework, not
+once per edge. Two possible acts are linked when they share a trigger or
+target argument; sources do not link them, since screening reads only the
+state before the step. Each connected group of acts is folded on its own,
+and the successors are the product of the groups' outcomes. The product is
+exact because the groups touch disjoint arguments: which of a group's
+arguments end up visible depends only on which of its own acts fire.
+Callers see only `State`s.
 """
 
 from __future__ import annotations
@@ -164,7 +166,9 @@ def successor_states(
     successors are exactly the product of the groups' outcomes. The
     product leaves out only the combination where no group fires: a
     nonempty subset can still leave a group as it was (an induce whose
-    target is visible), and then the state itself is a successor.
+    target is visible), and then the state itself is a successor. Each
+    successor mask is looked up in `fw.state_of`, so a state reached by
+    many edges is decoded once and every edge shares the one `State`.
     """
     moves = fw.masks.moves
     vis = fw.mask(state.visible)
@@ -194,7 +198,7 @@ def successor_states(
         flips = {f | c for f in flips for c in changes}
     if not idle:
         flips.discard(0)
-    return frozenset(State(fw.members(vis ^ f)) for f in flips)
+    return frozenset(fw.state_of(vis ^ f) for f in flips)
 
 
 def _bound(count: int, max_states: int) -> None:

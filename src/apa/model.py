@@ -6,6 +6,8 @@ by. A state is a value object identified solely by its visible set. A
 framework derives its relations once, as bit masks over the declaration
 order (`masks`); `mask` and `members` are the one encoder and decoder of
 argument sets, and successors, extensions and membership tests read them.
+Each state is decoded once per framework: `state_of` keeps the `State` it
+built for every visible mask and hands the same object back afterwards.
 """
 
 from __future__ import annotations
@@ -143,7 +145,20 @@ class APAFramework:
 
     @property
     def initial_state(self) -> State:
-        return State(self.initial)
+        return self.state_of(self.mask(self.initial))
+
+    def state_of(self, mask: int) -> State:
+        """The state whose visible set is `mask`, decoded on first request;
+        every later request for the mask returns that same object."""
+        state = self._states.get(mask)
+        if state is None:
+            state = self._states[mask] = State(self.members(mask))
+        return state
+
+    @functools.cached_property
+    def _states(self) -> dict[int, State]:
+        # lives as long as the framework; one entry per state decoded
+        return {}
 
     # -- bit masks over the declaration order -----------------------------
 

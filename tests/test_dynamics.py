@@ -280,6 +280,28 @@ def test_tables_hold_the_successor_sets(spec, sigma):
             assert lts.successors_of(state, [i]) is succs
 
 
+@pytest.mark.parametrize("two_selectors", [False, True],
+                         ids=["all", "two-selectors"])
+def test_each_state_is_one_object(two_selectors):
+    # every edge into a state shares the one `State` the framework decoded
+    # for it; the cache is cleared first because it is keyed on framework
+    # equality and could hand back States an equal framework decoded
+    successor_states.cache_clear()
+    fw = random_framework(RandomInstanceSpec(12, 0.15, 6, 6, seed=77))
+    sigma = ALL
+    if two_selectors:
+        args = fw.arguments
+        sigma = SelectorFamily((frozenset(args[::2]), frozenset(args[1::3])))
+    lts = reachable(fw, sigma)
+    canonical = {state: state for state in lts.states}
+    assert fw.initial_state is lts.initial
+    for table in lts.tables:
+        for state, succs in table.items():
+            assert canonical[state] is state
+            assert all(canonical[succ] is succ for succ in succs)
+    assert len(fw._states) == len(lts.states)
+
+
 def test_labeling_shares_one_selector_tables():
     # a one-selector family's stutter-completed table is the LTS's own set
     # wherever it is nonempty; a two-selector family's is their union
@@ -377,6 +399,20 @@ def test_re_added_triggers_fold_stays_small():
     succs = successor_states(fw, frozenset(), fw.initial_state, max_states=10_000)
     assert time.perf_counter() - start < 1.0
     assert len(succs) == 5071
+
+
+def test_targets_decoded_once_per_state():
+    # 298,494 edges into 2,880 states: the fold decodes each target mask
+    # once; decoding it per edge took 3-4 s (Python 3.11, 2 vCPUs)
+    successor_states.cache_clear()
+    fw = random_framework(RandomInstanceSpec(24, 0.12, 18, 18, seed=9))
+    start = time.perf_counter()
+    lts = reachable(fw, ALL)
+    assert time.perf_counter() - start < 2.0
+    (table,) = lts.tables
+    assert len(lts.states) == 2880
+    assert sum(map(len, table.values())) == 298_494
+    assert len({id(t) for succs in table.values() for t in succs}) == 2880
 
 
 def test_reachable_state_bound(oscillator):
