@@ -77,8 +77,7 @@ def _state_doc(fw: APAFramework, state: State) -> list[str]:
     return list(fw.sort_args(state.visible))
 
 
-def cmd_states(args, out) -> int:
-    fw = parse_framework(_read(args.file))
+def cmd_states(args, fw, out) -> int:
     lts = dynamics.reachable(fw, _sigma_family(fw, args.sigma), args.max_states)
     if args.json:
         doc = {
@@ -104,8 +103,7 @@ def cmd_states(args, out) -> int:
     return 0
 
 
-def cmd_transitions(args, out) -> int:
-    fw = parse_framework(_read(args.file))
+def cmd_transitions(args, fw, out) -> int:
     lts = dynamics.reachable(fw, _sigma_family(fw, args.sigma), args.max_states)
     # each state's members are sorted once, not once per edge end
     if args.json:
@@ -134,8 +132,7 @@ def cmd_transitions(args, out) -> int:
     return 0
 
 
-def cmd_semantics(args, out) -> int:
-    fw = parse_framework(_read(args.file))
+def cmd_semantics(args, fw, out) -> int:
     members = [t for t in args.state.replace(",", " ").split() if t]
     try:
         state = fw.state(members)
@@ -158,10 +155,9 @@ def cmd_semantics(args, out) -> int:
     return 0
 
 
-def cmd_check(args, out) -> int:
+def cmd_check(args, fw, out) -> int:
     from . import ctl  # only `check` pays for importing the query engine
 
-    fw = parse_framework(_read(args.file))
     query = ctl.parse_query(_read(args.query))
     result = ctl.check(fw, query, args.max_states, args.max_args)
     if args.json:
@@ -186,8 +182,7 @@ def cmd_check(args, out) -> int:
     return 0 if result.value else 2
 
 
-def cmd_dot(args, out) -> int:
-    fw = parse_framework(_read(args.file))
+def cmd_dot(args, fw, out) -> int:
     lts = dynamics.reachable(fw, _sigma_family(fw, args.sigma), args.max_states)
     out.write(export_dot(lts, args.annotate))
     return 0
@@ -263,7 +258,8 @@ def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
             if getattr(args, bound, 0) < 0:
                 option = "--" + bound.replace("_", "-")
                 raise ApaError(f"{option} must not be negative")
-        return args.func(args, out)
+        fw = parse_framework(_read(args.file))
+        return args.func(args, fw, out)
     except (ApaError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -1,4 +1,4 @@
-"""Query language: AST, parser, printer and the fixpoint model checker.
+"""Query language: AST, parser and the fixpoint model checker.
 
 Concrete syntax (one query per file):
 
@@ -42,8 +42,8 @@ from .model import NAME, APAFramework, State
 
 SEMANTICS_LABELS = set(semantics.LABELS)
 UNARY_TEMPORAL = ("AX", "EX", "AF", "EF", "AG", "EG")
-#: Deepest formula the parser accepts. Parsing, printing and comparing the AST
-#: recurse, so depth must stay well below Python's recursion limit.
+#: Deepest formula the parser accepts. Equality, repr, copy and pickle of
+#: the AST recurse, so depth must stay well below Python's recursion limit.
 MAX_NESTING = 100
 
 
@@ -160,17 +160,17 @@ class Query(NamedTuple):
 
     sets: tuple[tuple[str, frozenset[str]], ...]
     formula: Formula
-    #: names synthesized for inline set literals (printed back as literals)
+    #: names synthesized for inline set literals (shown as literals in errors)
     implicit: frozenset[str] = frozenset()
 
     def bindings(self) -> dict[str, frozenset[str]]:
         return dict(self.sets)
 
 
-#: Atom syntax, read by the parser, the printer and the name check: node
-#: class -> (keyword, operand kinds in field order). An operand is an
-#: argument name ("argname"), a set name or inline literal ("setref") or a
-#: semantics label ("label"); the parser reads each with `parse_<kind>`.
+#: Atom syntax, read by the parser and the name check: node class ->
+#: (keyword, operand kinds in field order). An operand is an argument name
+#: ("argname"), a set name or inline literal ("setref") or a semantics label
+#: ("label"); the parser reads each with `parse_<kind>`.
 _ATOMS = {
     Top: ("true", ()),
     Bottom: ("false", ()),
@@ -474,74 +474,6 @@ def _height(node: Formula) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Printing
-
-_PRECEDENCE = {Implies: 1, Or: 2, And: 3}
-
-
-def _print_literal(members: frozenset[str]) -> str:
-    return "{" + ",".join(sorted(members)) + "}"
-
-
-def print_formula(node: Formula, query: Query) -> str:
-    """Render a formula back to concrete syntax (reparses to an equal AST)."""
-    bound = query.bindings()
-
-    def setref(name: str) -> str:
-        return _print_literal(bound[name]) if name in query.implicit else name
-
-    def sigma(sig: Sigma) -> str:
-        if sig is None:
-            return "{*}"
-        return "{" + ",".join(setref(n) for n in sig) + "}"
-
-    def wrap(sub: Formula, limit: int) -> str:
-        text = render(sub)
-        if _PRECEDENCE.get(type(sub), 9) <= limit:
-            return f"({text})"
-        return text
-
-    def render(n: Formula) -> str:
-        if type(n) in _ATOMS:
-            keyword = _ATOMS[type(n)][0]
-            operands = [
-                setref(value) if kind == "setref" else value
-                for kind, value in _operands(n)
-            ]
-            return f"{keyword}({', '.join(operands)})" if operands else keyword
-        if isinstance(n, Not):
-            return "!" + wrap(n.sub, 3)
-        if isinstance(n, And):
-            # left-assoc: parenthesize a right child of equal precedence
-            return f"{wrap(n.left, 2)} & {wrap(n.right, 3)}"
-        if isinstance(n, Or):
-            return f"{wrap(n.left, 1)} | {wrap(n.right, 2)}"
-        if isinstance(n, Implies):
-            # right-assoc: parenthesize a left implication, keep the right
-            return f"{wrap(n.left, 1)} -> {wrap(n.right, 0)}"
-        if isinstance(n, Temporal):
-            return f"{n.op}{sigma(n.sigma)} {wrap(n.sub, 3)}"
-        if isinstance(n, Until):
-            return (
-                f"{n.quant}{sigma(n.sigma)}"
-                f"[{render(n.left)} U {render(n.right)}]"
-            )
-        raise TypeError(f"not a formula node: {n!r}")
-
-    return render(node)
-
-
-def print_query(query: Query) -> str:
-    lines = [
-        f"set {name} = {{" + ", ".join(sorted(members)) + "}"
-        for name, members in query.sets
-        if name not in query.implicit
-    ]
-    lines.append("formula: " + print_formula(query.formula, query))
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # Labeling (fixpoint model checking)
 
 
@@ -560,6 +492,10 @@ def _subformulas(root: Formula) -> list[Formula]:
             stack.append((node, True))
             stack.extend((child, False) for child in reversed(_children(node)))
     return list(order)
+
+
+def _print_literal(members: frozenset[str]) -> str:
+    return "{" + ",".join(sorted(members)) + "}"
 
 
 def _resolve_names(

@@ -1,7 +1,21 @@
 import pytest
 
 from apa import semantics
-from apa.ctl import And, Not, Or, Visible
+from apa.ctl import (
+    _ATOMS,
+    And,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    Query,
+    Sigma,
+    Temporal,
+    Until,
+    Visible,
+    _operands,
+    _print_literal,
+)
 from apa.model import framework
 from apa.oracle import random_formula
 
@@ -25,6 +39,70 @@ def characteristic(fw, candidate, state):
     vis = fw.mask(state.visible)
     inn = fw.mask(candidate & state.visible)
     return fw.members(semantics._defended(fw.masks, inn, vis, vis))
+
+
+# The query printer: renders a parsed query back to concrete syntax, for
+# the round-trip tests.
+
+_PRECEDENCE = {Implies: 1, Or: 2, And: 3}
+
+
+def print_formula(node: Formula, query: Query) -> str:
+    """Render a formula back to concrete syntax (reparses to an equal AST)."""
+    bound = query.bindings()
+
+    def setref(name: str) -> str:
+        return _print_literal(bound[name]) if name in query.implicit else name
+
+    def sigma(sig: Sigma) -> str:
+        if sig is None:
+            return "{*}"
+        return "{" + ",".join(setref(n) for n in sig) + "}"
+
+    def wrap(sub: Formula, limit: int) -> str:
+        text = render(sub)
+        if _PRECEDENCE.get(type(sub), 9) <= limit:
+            return f"({text})"
+        return text
+
+    def render(n: Formula) -> str:
+        if type(n) in _ATOMS:
+            keyword = _ATOMS[type(n)][0]
+            operands = [
+                setref(value) if kind == "setref" else value
+                for kind, value in _operands(n)
+            ]
+            return f"{keyword}({', '.join(operands)})" if operands else keyword
+        if isinstance(n, Not):
+            return "!" + wrap(n.sub, 3)
+        if isinstance(n, And):
+            # left-assoc: parenthesize a right child of equal precedence
+            return f"{wrap(n.left, 2)} & {wrap(n.right, 3)}"
+        if isinstance(n, Or):
+            return f"{wrap(n.left, 1)} | {wrap(n.right, 2)}"
+        if isinstance(n, Implies):
+            # right-assoc: parenthesize a left implication, keep the right
+            return f"{wrap(n.left, 1)} -> {wrap(n.right, 0)}"
+        if isinstance(n, Temporal):
+            return f"{n.op}{sigma(n.sigma)} {wrap(n.sub, 3)}"
+        if isinstance(n, Until):
+            return (
+                f"{n.quant}{sigma(n.sigma)}"
+                f"[{render(n.left)} U {render(n.right)}]"
+            )
+        raise TypeError(f"not a formula node: {n!r}")
+
+    return render(node)
+
+
+def print_query(query: Query) -> str:
+    lines = [
+        f"set {name} = {{" + ", ".join(sorted(members)) + "}"
+        for name, members in query.sets
+        if name not in query.implicit
+    ]
+    lines.append("formula: " + print_formula(query.formula, query))
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture

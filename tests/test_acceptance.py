@@ -7,6 +7,8 @@ import itertools
 import random
 import time
 
+from conftest import print_query
+
 from apa import ctl, dynamics, semantics
 from apa.cli import main as cli_main
 from apa.ctl import And, Not, Or, Query, Temporal, parse_query
@@ -293,7 +295,7 @@ def test_c10_roundtrips_and_exit_codes(tmp_path):
         rng = random.Random(123)
         for _ in range(100):
             query = random_query(rng, base, n_sets=2, depth=3)
-            again = parse_query(ctl.print_query(query))
+            again = parse_query(print_query(query))
             assert again.formula == query.formula
             assert again.bindings() == query.bindings()
         # exit codes: 0 true, 2 false, 1 error

@@ -1,11 +1,12 @@
 import copy
 import pickle
 import random
+import re
 import time
 
 import pytest
 
-from conftest import varying_operand
+from conftest import print_query, varying_operand
 
 from apa import ctl
 from apa.ctl import (
@@ -25,7 +26,6 @@ from apa.ctl import (
     Visible,
     check,
     parse_query,
-    print_query,
 )
 from apa.dynamics import SelectorFamily, reachable
 from apa.errors import QuerySyntaxError, TooLarge, UnknownName, UnknownSelector
@@ -85,9 +85,38 @@ def test_parse_implication_right_assoc():
 
 
 def test_syntax_error_carries_position():
-    with pytest.raises(QuerySyntaxError) as excinfo:
+    with pytest.raises(QuerySyntaxError, match="expected a formula") as excinfo:
         parse_query("formula: (true &")
-    assert excinfo.value.line == 1
+    assert (excinfo.value.line, excinfo.value.column) == (1, 17)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("formula: true true\n", "trailing input", (1, 15)),
+        ("set S = {a2}\nset S = {a3}\nformula: true\n", "declared twice",
+         (2, 5)),
+        ("formula: EF{} true\n", "empty selector list", (1, 15)),
+        ("formula: EF{,} true\n", "in selector list", (1, 13)),
+        ("formula: foo(a2)\n", "unknown construct", (1, 10)),
+        ("formula: sem(xx, {a2})\n", "expected one of ad", (1, 14)),
+        ("formula: visible({a2})\n", "expected an argument name", (1, 18)),
+        ("set {a} = {a2}\nformula: true\n", "expected a set name", (1, 5)),
+        ("set S = {a2, {a3}}\nformula: true\n", "expected an argument name",
+         (1, 14)),
+        ("formula: E{*}[true U true\n", "expected ']'", (2, 1)),
+    ],
+    ids=[
+        "trailing-input", "set-declared-twice", "empty-selector",
+        "selector-comma", "unknown-construct", "unknown-label",
+        "literal-argument", "literal-set-name", "nested-literal",
+        "open-until",
+    ],
+)
+def test_parse_error_names_its_cause_and_position(text, message, position):
+    with pytest.raises(QuerySyntaxError, match=re.escape(message)) as excinfo:
+        parse_query(text)
+    assert (excinfo.value.line, excinfo.value.column) == position
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Golden digests of the CLI's output: byte-identical output is part of the
-README contract, so any change to what `states`, `transitions`, `dot` or
-`check --json` print must show up here.
+README contract, so any change to what `states`, `transitions`, `dot`,
+`semantics` (text and `--json`, every label, at the initial state) or
+`check` (text and `--json`) print must show up here.
 
 Each digest is the sha256 of `"exit <code>\\n" + stdout` for one command on
 one framework. The table was generated by running this module as a script
@@ -10,7 +11,9 @@ before the LTS stored its transition relation only as per-selector tables:
 
 which prints the `GOLDEN` table below. The `af-hidden` and `eu-hidden`
 cases were added, the same way, before the query engine stated the CTL
-duality in one table. Regenerate it the same way only for
+duality in one table. The `semantics-*` and text `check-*` cases were
+added, the same way, before the query printer left the package.
+Regenerate it the same way only for
 an intended change of the output format, and say so in CHANGES.md.
 """
 
@@ -41,7 +44,8 @@ FRAMEWORKS = {
     ),
 }
 
-#: Query files for `check --json`; `{a}` is the framework's last argument.
+#: Query files for `check`, run with and without `--json`; `{a}` is the
+#: framework's last argument.
 QUERIES = {
     "ag-visible": "formula: AG{{*}} visible({a})\n",
     "ef-hidden": "formula: EF{{*}} !visible(a2)\n",
@@ -77,12 +81,24 @@ def _cases(root):
         fw_path.write_text(text)
         for cmd_name, cmd in COMMANDS.items():
             yield f"{fw_name}/{cmd_name}", [cmd[0], str(fw_path), *cmd[1:]]
-        last = text.split("\n", 1)[0].split()[-1]
+        lines = text.split("\n")
+        last = lines[0].split()[-1]
         for q_name, template in QUERIES.items():
             q_path = root / f"{fw_name}-{q_name}.q"
             q_path.write_text(template.format(a=last))
             yield f"{fw_name}/check-{q_name}", [
                 "check", str(fw_path), str(q_path), "--json"
+            ]
+        initial = ",".join(lines[1].split()[1:])
+        for label in ("ad", "co", "pr", "st", "gr"):
+            argv = ["semantics", str(fw_path), "--state", initial,
+                    "--which", label]
+            yield f"{fw_name}/semantics-{label}", argv
+            yield f"{fw_name}/semantics-{label}-json", [*argv, "--json"]
+        for q_name in QUERIES:
+            q_path = root / f"{fw_name}-{q_name}.q"
+            yield f"{fw_name}/check-{q_name}-text", [
+                "check", str(fw_path), str(q_path)
             ]
 
 
@@ -112,6 +128,24 @@ GOLDEN = {
     "elma/check-ex-complete": "e1ac191aecd1bef8a1e5d711121097b0c58b11911afa98fdaee18d61642c24ce",
     "elma/check-af-hidden": "0bbcb0a5461dfb858d937f773a1b8bd795a6f7f488cad97791437048adec6d95",
     "elma/check-eu-hidden": "e407c1fa4e9469ef57a5dd2b8d3dd471f51b29784265970905c7e71a8084b831",
+    "elma/semantics-ad": "2916c3ad893c2e4350dd4fe1c54c693b43612ad891f78b3a2195fa517a69a172",
+    "elma/semantics-ad-json": "04a5cd5c1c7beaea2c3a3ea5caa1534fce35a128be43126f94e4dddd99cfc793",
+    "elma/semantics-co": "3a02a05e9840d9b0eaeeb10295412b93ab74f87adf29c83f055f3ab666d628ca",
+    "elma/semantics-co-json": "b1f88954a1098542babb7926f4f470571b1eca84f79373bee13628c7e9134150",
+    "elma/semantics-pr": "3a02a05e9840d9b0eaeeb10295412b93ab74f87adf29c83f055f3ab666d628ca",
+    "elma/semantics-pr-json": "fa62990dfec22fac4f8d78b9bce9cce5229c55eb28ceff9b353ee2bca1fb1749",
+    "elma/semantics-st": "3a02a05e9840d9b0eaeeb10295412b93ab74f87adf29c83f055f3ab666d628ca",
+    "elma/semantics-st-json": "c2e9f9613992e8792b8de94c15d11a309a65fe67944afb72ba88a8cc55e52a9a",
+    "elma/semantics-gr": "3a02a05e9840d9b0eaeeb10295412b93ab74f87adf29c83f055f3ab666d628ca",
+    "elma/semantics-gr-json": "61cb8e56005398c3ebdf06937e7e4b609be0f272dfd3b47e258109b97a02ffc4",
+    "elma/check-ag-visible-text": "97878fcf0657b17f8025ddbafcabc45b044498a2a32ad51fb663ff7f77f37337",
+    "elma/check-ef-hidden-text": "d8422f8fbff55bcf841b3a28e8bfd90c0dcc39d19e77c4efc9741b38eb88915c",
+    "elma/check-eg-blocked-text": "a827bf43cca63109651e4976450c7e48f10f96b7aa7cd2c4f32e43fe9f72b054",
+    "elma/check-au-grounded-text": "97878fcf0657b17f8025ddbafcabc45b044498a2a32ad51fb663ff7f77f37337",
+    "elma/check-ax-hidden-text": "97878fcf0657b17f8025ddbafcabc45b044498a2a32ad51fb663ff7f77f37337",
+    "elma/check-ex-complete-text": "d8422f8fbff55bcf841b3a28e8bfd90c0dcc39d19e77c4efc9741b38eb88915c",
+    "elma/check-af-hidden-text": "97878fcf0657b17f8025ddbafcabc45b044498a2a32ad51fb663ff7f77f37337",
+    "elma/check-eu-hidden-text": "8291f45f365c598dcacb38bd1b639ee7444e7effc0967b50bda6c06484ab6231",
     "oscillator/states": "6d4ded7f45c2d231de73459c6bbef0c25fd6ffda4f06bf6b59939b2f637ff995",
     "oscillator/states-json": "8d06c5c94486d1cebecaaee4f7917069b515395565045f76348bfba97c5b1e9b",
     "oscillator/transitions": "dbeed1b161e51cd5b0de0552dd2fdcf89bb66ee71df8dc5ba1e230799e8b37e3",
@@ -130,6 +164,24 @@ GOLDEN = {
     "oscillator/check-ex-complete": "e1ac191aecd1bef8a1e5d711121097b0c58b11911afa98fdaee18d61642c24ce",
     "oscillator/check-af-hidden": "0d7117c0e14dc398d7d7ccbf0d1947bd9f7148d457a890e0f9715ffbca212b0c",
     "oscillator/check-eu-hidden": "56ceaba7f39ec62dbb10da8d2b37d8dba19ac3b2b8f4a42653be5dbf93ef583d",
+    "oscillator/semantics-ad": "a614fc0599b2bcf0a05ce134486466e18eb3ae26148da182a190cf7858647cbd",
+    "oscillator/semantics-ad-json": "22b10ac235a8dd11b4b1432d071b38677834941d85df07c3f2342e8c0e7c22ec",
+    "oscillator/semantics-co": "a614fc0599b2bcf0a05ce134486466e18eb3ae26148da182a190cf7858647cbd",
+    "oscillator/semantics-co-json": "ee37fbaa90bf4009e4bf6e704b2fffe8b2418a0539da3e196c61b3f80904e5bd",
+    "oscillator/semantics-pr": "a614fc0599b2bcf0a05ce134486466e18eb3ae26148da182a190cf7858647cbd",
+    "oscillator/semantics-pr-json": "0e3c6348bb9770c5052c900a3a6d8f120cc25916e2e47cafe2020114f0789a01",
+    "oscillator/semantics-st": "28d3b9e880a77975493dc7e359144c0295a4f694cfe0af4f928c22307bc5c320",
+    "oscillator/semantics-st-json": "a5c1d17a4a1632e0d2d32382ba3cfe27a054d5c0f424153eed6394de58d32d5b",
+    "oscillator/semantics-gr": "a614fc0599b2bcf0a05ce134486466e18eb3ae26148da182a190cf7858647cbd",
+    "oscillator/semantics-gr-json": "a8d6d1691e8cce0eeffa36377347b23e6c37507c68b0c49600765e251a98df04",
+    "oscillator/check-ag-visible-text": "459b395ffcb4a34e7f8647fb1737a3affa8bc016cdc96ea2e6e1dc7377103e3a",
+    "oscillator/check-ef-hidden-text": "cd93a8b230d9cec33384f73fea06220e3b359205900b1111e8b297fd4a58adf5",
+    "oscillator/check-eg-blocked-text": "25151cfbcd21f4b3c35f6cef51745bfe28050ea450612665582853112634ffde",
+    "oscillator/check-au-grounded-text": "459b395ffcb4a34e7f8647fb1737a3affa8bc016cdc96ea2e6e1dc7377103e3a",
+    "oscillator/check-ax-hidden-text": "459b395ffcb4a34e7f8647fb1737a3affa8bc016cdc96ea2e6e1dc7377103e3a",
+    "oscillator/check-ex-complete-text": "d8422f8fbff55bcf841b3a28e8bfd90c0dcc39d19e77c4efc9741b38eb88915c",
+    "oscillator/check-af-hidden-text": "77f494f25add13f17e74d19fe452bb8a94811aa837ff174ae83a1b588872d66f",
+    "oscillator/check-eu-hidden-text": "cd93a8b230d9cec33384f73fea06220e3b359205900b1111e8b297fd4a58adf5",
     "random12/states": "13fb45982f31e978ae64cc0ed6a1bcbb68a17f225c9a44e120176940cde9b483",
     "random12/states-json": "53e7a9f2c2436c73168ba0ebcf3888dacc3887d01c6ad7a58ab8dbe9f0970272",
     "random12/transitions": "ba8b0e042e2ab33babff7d6cc05b882bd624ff5f0b00710bbad6d52468b7ee30",
@@ -148,6 +200,24 @@ GOLDEN = {
     "random12/check-ex-complete": "e1ac191aecd1bef8a1e5d711121097b0c58b11911afa98fdaee18d61642c24ce",
     "random12/check-af-hidden": "28a59258ec8580eb456206c7107902a2a905bd15fcebb17212820c8cd4ef4d04",
     "random12/check-eu-hidden": "1dc446bfab78bc08953865d13d0bc303d14ad2a22abf300a9db3ebe44ed61731",
+    "random12/semantics-ad": "f2be7213c9dc39f55e5c6fb7087f58888824e0961d1e190fbfaf1bfb5f3d3866",
+    "random12/semantics-ad-json": "68ef719f910604c2adab2afe115bfbeb92ce95c08c02e59316968efc2e04386f",
+    "random12/semantics-co": "38e7a771c630654815231625c3f826613eead77a468f5f97627d2cf7b16ab59b",
+    "random12/semantics-co-json": "8efd20ca75fdadfab0fbd7ab232188e2c99836dc39378346bada5f0f052ec247",
+    "random12/semantics-pr": "2cb7ef74cb200afb840ab45a936af891207b2ee314bb87235f7d2e4a6cd00512",
+    "random12/semantics-pr-json": "ee1455a51c78e757ef21ebf8d37b690c9de12d0e91a23993386a784a84efcac8",
+    "random12/semantics-st": "2cb7ef74cb200afb840ab45a936af891207b2ee314bb87235f7d2e4a6cd00512",
+    "random12/semantics-st-json": "0b683e30be1fdf013b2c579828d89b0f509bfbc242c6f2b6d4c5950357250e96",
+    "random12/semantics-gr": "f4490414e7a824c4820c61682d4b56eee31ff603c1d8bd22aa033f0794c5651c",
+    "random12/semantics-gr-json": "bd7ef8c51a69d7aee6431c8b4e009fef4edecbefb0406e78b766d46e698a256d",
+    "random12/check-ag-visible-text": "13f3e5909608c89678b93103e2950e43e29529555ab31822814a22798bb3980f",
+    "random12/check-ef-hidden-text": "d8422f8fbff55bcf841b3a28e8bfd90c0dcc39d19e77c4efc9741b38eb88915c",
+    "random12/check-eg-blocked-text": "f0ef35ceea2755d3f6d3e24879b257dab7a83cb3e2a88a2bb3a877dac13d3245",
+    "random12/check-au-grounded-text": "0c1225293f46ea13f2f6ac4d3075932bc74064e7d224892c18bc8fe76047c661",
+    "random12/check-ax-hidden-text": "0c1225293f46ea13f2f6ac4d3075932bc74064e7d224892c18bc8fe76047c661",
+    "random12/check-ex-complete-text": "d8422f8fbff55bcf841b3a28e8bfd90c0dcc39d19e77c4efc9741b38eb88915c",
+    "random12/check-af-hidden-text": "13f3e5909608c89678b93103e2950e43e29529555ab31822814a22798bb3980f",
+    "random12/check-eu-hidden-text": "3cedcde12e1f7faaa8663241f07326acde8dd27ef8ae6fbbbd12fe474aff7254",
 }
 
 

@@ -28,12 +28,19 @@ def test_elma_framework_valid(elma):
 
 
 def test_undeclared_attack_endpoint():
-    with pytest.raises(ValidationError) as excinfo:
-        framework(["a2"], attacks=[("a9", "a2")])
-    issues = excinfo.value.issues
-    assert any(
-        isinstance(i, UndeclaredArgument) and i.token == "a9" for i in issues
-    )
+    # an empty argument list is reported as one undeclared argument too
+    for arguments, attacks, token in [
+        (["a2"], [("a9", "a2")], "a9"),
+        ([], [], "<no arguments declared>"),
+    ]:
+        with pytest.raises(ValidationError) as excinfo:
+            framework(arguments, attacks=attacks)
+        issues = excinfo.value.issues
+        assert any(
+            isinstance(i, UndeclaredArgument) and i.token == token
+            for i in issues
+        )
+        assert token in str(excinfo.value)
 
 
 def test_all_violations_reported():

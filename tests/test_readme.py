@@ -1,16 +1,25 @@
 """The README is the contract: its library example runs, its example files
-parse and check, and every `apa` line of its CLI block succeeds on them."""
+parse and check, and every `apa` line of its CLI block succeeds on them.
+Every public definition of the package has a caller outside the tests."""
 
+import ast
 import io
 import re
 import shlex
 from pathlib import Path
 
+import apa
 from apa import ctl
 from apa.cli import main
 from apa.fileformat import parse_framework
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+#: The package's modules, `oracle` aside: it restates the definitions for
+#: the tests, so it neither counts as a caller nor needs one.
+MODULES = sorted(
+    p for p in (ROOT / "src" / "apa").glob("*.py") if p.name != "oracle.py"
+)
 
 
 def section(title):
@@ -60,3 +69,36 @@ def test_cli_examples_run(tmp_path, monkeypatch):
         allowed = (0, 2) if argv[0] == "check" else (0,)
         assert code in allowed, (line, err.getvalue())
         assert out.getvalue(), line
+
+
+def used_names(source):
+    """Every name, attribute name and imported name that `source`
+    mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_public_definition_has_a_product_caller():
+    """No helper that only a test calls: each public module-level def or
+    class of the package is used by the package, the benchmark, the
+    README's library example or `apa.__all__`."""
+    benchmark = sorted((ROOT / "perfbench").glob("*.py"))
+    sources = [p.read_text() for p in [*MODULES, *benchmark]]
+    sources += blocks(section("Library"), "python")
+    used = set(apa.__all__).union(*map(used_names, sources))
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert not unused, f"no caller outside the tests: {unused}"
