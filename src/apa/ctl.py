@@ -257,9 +257,15 @@ class _Parser:
     def error(self, message: str):
         raise QuerySyntaxError(message, self.cur.line, self.cur.column)
 
+    def found(self) -> str:
+        """The current token, as an error message names it."""
+        if self.cur.kind == "eof":
+            return "end of input"
+        return repr(self.cur.text)
+
     def expect(self, text: str) -> _Token:
         if self.cur.text != text:
-            self.error(f"expected {text!r}, found {self.cur.text!r}")
+            self.error(f"expected {text!r}, found {self.found()}")
         return self.advance()
 
     def at(self, text: str) -> bool:
@@ -421,7 +427,7 @@ class _Parser:
             self.expect(")")
             return node
         if tok.kind != "name":
-            self.error(f"expected a formula, found {tok.text!r}")
+            self.error(f"expected a formula, found {self.found()}")
         cls = _ATOM_CLASSES.get(tok.text)
         if cls is None:
             self.error(f"unknown construct {tok.text!r}")

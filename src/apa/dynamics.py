@@ -9,7 +9,12 @@ and (re)made visible in the same step stays visible (the effects offset).
 
 Acts are screened, and successors computed, on the framework's `int` bit
 masks over the declaration order (`APAFramework.masks`). A state is
-encoded by `APAFramework.mask`; a target is looked up by its mask in
+encoded by `APAFramework.mask`; `_screen` is the one screening rule, and
+gives the possible acts as bits over `masks.acts`. The successors depend
+only on the visible mask and those act bits, so each such pair is folded
+once per framework: the fold table lives on the framework
+(`APAFramework.folds`), and every selector that leaves a state the same
+acts reads the same entry. A target is looked up by its mask in
 `APAFramework.state_of`, so each state is decoded once per framework, not
 once per edge. Two possible acts are linked when they share a trigger or
 target argument; sources do not link them, since screening reads only the
@@ -27,7 +32,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .errors import TooLarge
-from .model import APAFramework, PersuasionAct, State
+from .model import APAFramework, PersuasionAct, State, bit_positions
 
 #: Hard ceiling on explicit state enumeration (overridable per call).
 DEFAULT_MAX_STATES = 4096
@@ -109,21 +114,29 @@ class LTS:
         return first.union(*rest) if rest else first
 
 
+def _screen(fw: APAFramework, refset: frozenset[str], vis: int) -> int:
+    """The acts possible at the visible mask `vis` under `refset`, as bits
+    over `fw.masks.acts`: the one screening rule. An act is possible when
+    its source and trigger are visible and no visible member of `refset`
+    attacks its source."""
+    masks = fw.masks
+    screen = vis & fw.mask(refset & masks.bit.keys())
+    acts = 0
+    for i, (needs, attackers, _) in enumerate(masks.screens):
+        if needs & vis == needs and not attackers & screen:
+            acts |= 1 << i
+    return acts
+
+
 def possible_acts(
     fw: APAFramework, refset: frozenset[str], state: State
 ) -> frozenset[PersuasionAct]:
     """Acts executable at `state` when screened by `refset`: an act is
-    blocked when a visible member of `refset` attacks its source."""
-    visible = state.visible
-    screen = fw.mask(refset & visible)
-    attackers = fw.masks.attackers
-    return frozenset(
-        act
-        for act in fw.persuasions
-        if act.source in visible
-        and (act.trigger is None or act.trigger in visible)
-        and not attackers[fw.index(act.source)] & screen
-    )
+    blocked when a visible member of `refset` attacks its source. The acts
+    are decoded from the bits `_screen` gives."""
+    acts = fw.masks.acts
+    bits = _screen(fw, refset, fw.mask(state.visible))
+    return frozenset(acts[i] for i in bit_positions(bits))
 
 
 def _groups(moves) -> list[list[tuple[int, int]]]:
@@ -152,30 +165,52 @@ def successor_states(
     inputs immutable). Raises TooLarge as soon as more than `max_states`
     distinct successors are certain: every successor is reachable.
 
-    The possible acts are split into groups linked by a shared trigger or
-    target argument (`_groups` on the framework's act masks). Within a
-    group the acts are folded in one at a time over the effects of the
-    nonempty act subsets seen so far, as (dropped & ~added, added) mask
-    pairs. The acts that drop come first, and each new pair's `added`
-    keeps only the hidden arguments and the triggers of the acts still to
-    fold: no other added bit changes the state or offsets a later drop.
-    Subsets with the same pair lead to the same state whatever acts join
-    them later, so the pairs are deduplicated after each act. The groups
-    touch disjoint arguments, so a subset's effect is the union of its
-    parts' effects, each group's bits depend only on its own part, and the
-    successors are exactly the product of the groups' outcomes. The
-    product leaves out only the combination where no group fires: a
-    nonempty subset can still leave a group as it was (an induce whose
-    target is visible), and then the state itself is a successor. Each
-    successor mask is looked up in `fw.state_of`, so a state reached by
-    many edges is decoded once and every edge shares the one `State`.
+    The successors depend only on the visible mask and the possible acts
+    (`_screen`), so the fold is done once per such pair and kept in
+    `fw.folds`; a selector that screens out nothing at a state reuses the
+    fold of any other that does the same. With each fold the table keeps
+    the largest successor count the fold checked against `max_states`, so
+    a table hit raises TooLarge exactly when a fresh fold would.
     """
-    moves = fw.masks.moves
     vis = fw.mask(state.visible)
+    key = (vis, _screen(fw, refset, vis))
+    entry = fw.folds.get(key)
+    if entry is None:
+        flips, certain = _fold(fw.masks.screens, *key, max_states)
+        entry = fw.folds[key] = (
+            frozenset(fw.state_of(vis ^ f) for f in flips), certain
+        )
+    succs, certain = entry
+    _bound(certain, max_states)
+    return succs
+
+
+def _fold(screens, vis: int, acts: int, max_states: int) -> tuple[set[int], int]:
+    """The toggles (successor mask ^ `vis`) of the nonempty subsets of the
+    acts in `acts`, and the largest successor count checked on the way.
+
+    The acts are split into groups linked by a shared trigger or target
+    argument (`_groups` on their (drop, add) masks). Within a group the
+    acts are folded in one at a time over the effects of the nonempty act
+    subsets seen so far, as (dropped & ~added, added) mask pairs. The acts
+    that drop come first, and each new pair's `added` keeps only the
+    hidden arguments and the triggers of the acts still to fold: no other
+    added bit changes the state or offsets a later drop. Subsets with the
+    same pair lead to the same state whatever acts join them later, so the
+    pairs are deduplicated after each act. The groups touch disjoint
+    arguments, so a subset's effect is the union of its parts' effects,
+    each group's bits depend only on its own part, and the successors are
+    exactly the product of the groups' outcomes. The product leaves out
+    only the combination where no group fires: a nonempty subset can still
+    leave a group as it was (an induce whose target is visible), and then
+    the state itself is a successor. TooLarge is raised before the product
+    that would exceed `max_states` is built.
+    """
     hidden = ~vis
     flips = {0}  # the arguments a combination of group outcomes toggles
     idle = False  # some group has a nonempty subset that changes nothing
-    for group in _groups(moves[act] for act in possible_acts(fw, refset, state)):
+    certain = 0  # the largest successor count checked against max_states
+    for group in _groups(screens[i][2] for i in bit_positions(acts)):
         # the acts that drop first, the ones that share a trigger together
         group.sort(reverse=True)
         later = [hidden] * len(group)  # hidden | drops of the acts after j
@@ -192,13 +227,15 @@ def successor_states(
         # and the added ones that were hidden
         changes = {d | a & hidden for d, a in effects}
         idle = idle or 0 in changes
+        certain = max(certain, len(changes))
         changes.add(0)
         # disjoint bits, so every combination is distinct; 0 may not count
-        _bound(len(flips) * len(changes) - 1, max_states)
+        certain = max(certain, len(flips) * len(changes) - 1)
+        _bound(certain, max_states)
         flips = {f | c for f in flips for c in changes}
     if not idle:
         flips.discard(0)
-    return frozenset(fw.state_of(vis ^ f) for f in flips)
+    return flips, certain
 
 
 def _bound(count: int, max_states: int) -> None:

@@ -7,7 +7,8 @@ framework derives its relations once, as bit masks over the declaration
 order (`masks`); `mask` and `members` are the one encoder and decoder of
 argument sets, and successors, extensions and membership tests read them.
 Each state is decoded once per framework: `state_of` keeps the `State` it
-built for every visible mask and hands the same object back afterwards.
+built for every visible mask and hands the same object back afterwards,
+and `folds` keeps each successor fold the dynamics computed.
 """
 
 from __future__ import annotations
@@ -57,15 +58,21 @@ class State(NamedTuple):
 class Masks(NamedTuple):
     """A framework's relations as `int` masks over the declaration order,
     invisible arguments included: `bit[a]`; per argument position, its
-    `attackers`, its `threats` (attackers and the sources of the convert
-    acts (s, x, t), t != x, that drop it) and its `clash` (attacking or
-    attacked); per act, its (drop, add) `moves`."""
+    `attackers`, its `victims` (the arguments it attacks), its `threats`
+    (attackers and the sources of the convert acts (s, x, t), t != x, that
+    drop it) and its `clash` (attacking or attacked). `acts` fixes an
+    order of the acts, so that bit i of an act mask stands for `acts[i]`,
+    and `screens[i]` is that act's screening row: the bits it needs
+    visible (source and trigger), its source's `attackers` and its (drop,
+    add) move."""
 
     bit: dict[str, int]
     attackers: tuple[int, ...]
+    victims: tuple[int, ...]
     threats: tuple[int, ...]
     clash: tuple[int, ...]
-    moves: dict[PersuasionAct, tuple[int, int]]
+    acts: tuple[PersuasionAct, ...]
+    screens: tuple[tuple[int, int, tuple[int, int]], ...]
 
 
 class APAFramework:
@@ -160,6 +167,13 @@ class APAFramework:
         # lives as long as the framework; one entry per state decoded
         return {}
 
+    @functools.cached_property
+    def folds(self) -> dict[tuple[int, int], tuple[frozenset[State], int]]:
+        """`dynamics.successor_states`' fold table: per (visible mask,
+        possible-act bits), the successor states and the count that decides
+        `TooLarge`. Lives as long as the framework, one entry per fold."""
+        return {}
+
     # -- bit masks over the declaration order -----------------------------
 
     @functools.cached_property
@@ -168,19 +182,23 @@ class APAFramework:
         bit = {a: 1 << i for i, a in enumerate(self.arguments)}
         index = self._index
         attackers = [0] * len(bit)
-        clash = [0] * len(bit)
+        victims = [0] * len(bit)
         for a, b in self.attacks:
             attackers[index[b]] |= bit[a]
-            clash[index[b]] |= bit[a]
-            clash[index[a]] |= bit[b]
+            victims[index[a]] |= bit[b]
+        clash = [x | y for x, y in zip(attackers, victims)]
         threats = list(attackers)
-        moves = {}
-        for act in self.persuasions:
+        acts = tuple(self.persuasions)
+        screens = []
+        for act in acts:
             drop = 0 if act.trigger is None else bit[act.trigger]
-            moves[act] = (drop, bit[act.target])
+            source = index[act.source]
+            screens.append((1 << source | drop, attackers[source],
+                            (drop, bit[act.target])))
             if act.trigger not in (None, act.target):
                 threats[index[act.trigger]] |= bit[act.source]
-        return Masks(bit, tuple(attackers), tuple(threats), tuple(clash), moves)
+        return Masks(bit, tuple(attackers), tuple(victims), tuple(threats),
+                     tuple(clash), acts, tuple(screens))
 
     def mask(self, args: Iterable[str]) -> int:
         """The mask of a set of declared arguments."""

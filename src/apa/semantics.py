@@ -6,7 +6,9 @@ Defence answers persuasion as well as attack: a member's threats are its
 visible attackers and the visible sources of the convert acts that drop
 it, and the candidate defends it when a visible member attacks every
 threat, which also screens those acts out under the candidate as
-reference set. `_answered` states defence once, on `APAFramework.masks`.
+reference set. Defence is one subset test (Dung 1995): the threats must
+lie in the set the candidate attacks, `_attacked(R)`, read from the
+`victims` masks of `APAFramework.masks`; `_answered` states it once.
 
 Dung's characteristic function F(R) = {visible a : R defends a} is
 computed once, on masks, by `_defended`. Admissibility asks R <= F(R)
@@ -39,26 +41,39 @@ LABELS = ("ad", "co", "pr", "st", "gr")
 DEFAULT_MAX_ENUM_ARGS = 20
 
 
-def _answered(attackers: tuple[int, ...], inn: int, threats: int) -> bool:
-    """Whether a member of `inn` attacks each argument in `threats`, on the
-    `attackers` masks of `APAFramework.masks`: the one statement of defence,
-    since `inn` defends an argument when it answers its visible threats."""
-    return all(attackers[t] & inn for t in bit_positions(threats))
+def _attacked(victims: tuple[int, ...], args: int) -> int:
+    """The arguments that some member of `args` attacks, on the `victims`
+    masks of `APAFramework.masks`."""
+    attacked = 0
+    while args:
+        low = args & -args
+        attacked |= victims[low.bit_length() - 1]
+        args ^= low
+    return attacked
+
+
+def _answered(victims: tuple[int, ...], inn: int, threats: int) -> bool:
+    """Whether a member of `inn` attacks each argument in `threats`: the one
+    statement of defence, a subset test against `_attacked(inn)`, since
+    `inn` defends an argument when it answers its visible threats."""
+    return not threats & ~_attacked(victims, inn)
 
 
 def is_conflict_free(fw: APAFramework, candidate: frozenset[str], state: State) -> bool:
     """No attack between visible members of the candidate."""
     inn = fw.mask(candidate & state.visible)
-    clash = fw.masks.clash
-    return not any(clash[i] & inn for i in bit_positions(inn))
+    return not _attacked(fw.masks.victims, inn) & inn
 
 
 def _defended(masks: Masks, inn: int, vis: int, among: int) -> int:
     """The members of `among` whose visible threats `inn` answers: Dung's
-    characteristic function F(inn), restricted to `among`, on masks."""
-    attackers, threats = masks.attackers, masks.threats
+    characteristic function F(inn), restricted to `among`, on masks. As in
+    `_answered`, a member is defended when its visible threats lie in
+    `_attacked(inn)`, which is computed once for all of them."""
+    unanswered = vis & ~_attacked(masks.victims, inn)
+    threats = masks.threats
     return sum(1 << a for a in bit_positions(among)
-               if _answered(attackers, inn, threats[a] & vis))
+               if not threats[a] & unanswered)
 
 
 def is_defended(fw: APAFramework, candidate: frozenset[str], state: State) -> bool:
@@ -112,14 +127,14 @@ def _search(
             f"bound of {max_args}"
         )
     masks = fw.masks
-    attackers, threats, clash = masks.attackers, masks.threats, masks.clash
+    victims, threats, clash = masks.victims, masks.threats, masks.clash
     vis = fw.mask(state.visible)
     found = []
     # (undecided, IN, OUT, arguments clashing with IN, threats to IN)
     stack = [(vis, 0, 0, 0, 0)]
     while stack:
         rest, inn, out, clashing, threatened = stack.pop()
-        if not _answered(attackers, inn | rest & ~clashing, threatened):
+        if not _answered(victims, inn | rest & ~clashing, threatened):
             continue
         if complete and _defended(masks, inn, vis, out):
             continue
@@ -178,7 +193,7 @@ def holds(
         )
     if label == "st":  # a stable set attacks every visible non-member
         return is_admissible(fw, candidate, state) and _answered(
-            fw.masks.attackers, fw.mask(candidate),
+            fw.masks.victims, fw.mask(candidate),
             fw.mask(state.visible - candidate),
         )
     if label == "gr":

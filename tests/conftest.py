@@ -41,6 +41,34 @@ def characteristic(fw, candidate, state):
     return fw.members(semantics._defended(fw.masks, inn, vis, vis))
 
 
+def moves(fw):
+    """Each act's (drop, add) masks, read from its screening row."""
+    masks = fw.masks
+    return {act: row[2] for act, row in zip(masks.acts, masks.screens)}
+
+
+def literal_characteristic(fw, candidate, state):
+    """F(candidate) straight from the README's definitions, on names: the
+    visible arguments whose every visible threat (an attacker, or the
+    source of a convert act that drops it for another argument) is
+    attacked by a visible member of `candidate`."""
+    visible = state.visible
+    members = candidate & visible
+
+    def threats(arg):
+        attackers = {b for b, a in fw.attacks if a == arg and b in visible}
+        droppers = {
+            act.source for act in fw.persuasions
+            if act.trigger == arg and act.target != arg and act.source in visible
+        }
+        return attackers | droppers
+
+    return frozenset(
+        arg for arg in visible
+        if all(any((m, t) in fw.attacks for m in members) for t in threats(arg))
+    )
+
+
 # The query printer: renders a parsed query back to concrete syntax, for
 # the round-trip tests.
 

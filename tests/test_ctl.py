@@ -120,6 +120,25 @@ def test_parse_error_names_its_cause_and_position(text, message, position):
 
 
 @pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("formula: E{*}[true U true", "expected ']', found end of input",
+         (1, 26)),
+        ("formula: (true &", "expected a formula, found end of input",
+         (1, 17)),
+        ("formula: in(a1", "expected ',', found end of input", (1, 15)),
+    ],
+    ids=["open-until", "open-and", "open-in"],
+)
+def test_parse_error_at_end_of_input_names_it(text, message, position):
+    with pytest.raises(QuerySyntaxError) as excinfo:
+        parse_query(text)
+    line, column = position
+    assert str(excinfo.value) == f"{message} at line {line}, column {column}"
+    assert (excinfo.value.line, excinfo.value.column) == position
+
+
+@pytest.mark.parametrize(
     "text", [EXAMPLE_QUERY, "set S = {a}\nformula: true\n"]
 )
 def test_crlf_query_parses_as_lf(text):

@@ -4,6 +4,8 @@ import types
 
 import pytest
 
+from conftest import moves
+
 from apa import ctl, dynamics
 from apa.dynamics import (
     ALL,
@@ -198,7 +200,7 @@ def _shapes(fw, acts, state):
     has to combine correctly."""
     converts = [act for act in acts if act.trigger is not None]
     triggers = [act.trigger for act in converts]
-    moves = fw.masks.moves
+    move = moves(fw)
     return {
         "shared trigger": len(set(triggers)) < len(triggers),
         "chain": any(
@@ -208,7 +210,7 @@ def _shapes(fw, acts, state):
         "visible induce": any(
             act.trigger is None and act.target in state.visible for act in acts
         ),
-        "two groups": len(dynamics._groups(moves[act] for act in acts)) > 1,
+        "two groups": len(dynamics._groups(move[act] for act in acts)) > 1,
     }
 
 
@@ -300,6 +302,143 @@ def test_each_state_is_one_object(two_selectors):
             assert canonical[state] is state
             assert all(canonical[succ] is succ for succ in succs)
     assert len(fw._states) == len(lts.states)
+
+
+# -- the fold table ----------------------------------------------------------
+
+#: The frameworks of the acceptance sweeps c03, c06 and c07, by seed.
+SWEEP_SIZES = {
+    "c03": lambda seed: RandomInstanceSpec(
+        n_args=2 + seed % 5, attack_density=0.3, n_induce=1, n_convert=2,
+        seed=seed,
+    ),
+    "c06": lambda seed: RandomInstanceSpec(
+        n_args=2 + seed % 5, attack_density=0.35, n_induce=0, n_convert=0,
+        initial_density=0.7, seed=30000 + seed,
+    ),
+    "c07": lambda seed: RandomInstanceSpec(
+        n_args=2 + seed % 5, n_induce=2, n_convert=2, seed=40000 + seed,
+    ),
+}
+
+
+def counting_folds(monkeypatch):
+    """Record the (visible mask, act bits) of every fold that runs."""
+    folds = []
+    fold = dynamics._fold
+
+    def counted(screens, vis, acts, max_states):
+        folds.append((vis, acts))
+        return fold(screens, vis, acts, max_states)
+
+    monkeypatch.setattr(dynamics, "_fold", counted)
+    return folds
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEP_SIZES))
+def test_shared_fold_matches_bruteforce(sweep, monkeypatch):
+    """At every state of the c03/c06/c07 sweep frameworks, under selectors
+    that screen nothing (the empty set, and the arguments that attack no
+    source) and selectors that can screen (every argument, a random set),
+    the successors are the brute-force ones, though selectors that leave a
+    state the same acts share one fold."""
+    successor_states.cache_clear()
+    folds = counting_folds(monkeypatch)
+    rng = random.Random(f"shared-fold/{sweep}")
+    screened = 0
+    for seed in range(100):
+        fw = random_framework(SWEEP_SIZES[sweep](seed))
+        sources = {act.source for act in fw.persuasions}
+        quiet = frozenset(a for a in fw.arguments
+                          if not any((a, s) in fw.attacks for s in sources))
+        refsets = (frozenset(), quiet, frozenset(fw.arguments),
+                   random_refset(rng, fw))
+        before = len(folds)
+        for m in range(1 << len(fw.arguments)):
+            state = fw.state_of(m)
+            for refset in refsets:
+                assert successor_states(fw, refset, state) == \
+                    successors_bruteforce(fw, refset, state), (fw, refset, state)
+            acts = possible_acts(fw, refsets[0], state)
+            assert possible_acts(fw, quiet, state) == acts
+            screened += possible_acts(fw, refsets[2], state) < acts
+        # each fold is kept, and none is done twice for one framework
+        assert sorted(folds[before:]) == sorted(fw.folds)
+    assert len(folds) < successor_states.cache_info().misses / 2
+    assert screened or sweep == "c06"
+
+
+def test_one_fold_per_visible_set_and_possible_acts(monkeypatch):
+    """On the sweep rung, a family of four selectors folds once per
+    distinct (visible mask, possible acts) pair: fewer times than
+    `successor_states` misses its cache."""
+    successor_states.cache_clear()
+    folds = counting_folds(monkeypatch)
+    fw = random_framework(RandomInstanceSpec(12, 0.15, 6, 6, seed=3))
+    family = SelectorFamily((
+        frozenset(), frozenset(["a12"]), frozenset(["a11", "a12", "a3"]),
+        frozenset(fw.arguments),
+    ))
+    lts = reachable(fw, family)
+    keys = {
+        (vis, dynamics._screen(fw, refset, vis))
+        for vis in (fw.mask(s.visible) for s in lts.states)
+        for refset in family.effective
+    }
+    misses = successor_states.cache_info().misses
+    assert misses == len(lts.states) * len(family.effective)
+    assert sorted(folds) == sorted(keys) == sorted(fw.folds)
+    assert len(folds) < misses
+
+
+def raises_too_large(call) -> bool:
+    try:
+        call()
+    except TooLarge:
+        return True
+    return False
+
+
+def test_too_large_as_a_fresh_fold_raises_it():
+    """The fold table raises TooLarge under a bound exactly when a fresh
+    fold under that bound would, also on a hit for an entry folded under a
+    larger bound."""
+    # the fold never counts the state itself, which the idle induce of t
+    # makes a successor: two successors pass the bound 1
+    idle = framework(["s", "t", "u"], persuasions=[("s", None, "t"), ("s", None, "u")],
+                     initial=["s", "t"])
+    state = idle.initial_state
+    assert len(successor_states(idle, frozenset(), state)) == 2
+    assert len(successor_states(idle, frozenset(), state, max_states=1)) == 2
+    with pytest.raises(TooLarge):
+        successor_states(idle, frozenset(), state, max_states=0)
+    # a raising fold leaves no entry behind
+    ring = trigger_ring(5)
+    key = (ring.mask(ring.arguments), (1 << len(ring.persuasions)) - 1)
+    with pytest.raises(TooLarge):
+        successor_states(ring, frozenset(), ring.initial_state, max_states=3)
+    assert key not in ring.folds
+    rng = random.Random(17)
+    frameworks = [idle, ring, SHAPES] + [
+        random_framework(SWEEP_SIZES[sweep](seed))
+        for sweep in ("c03", "c07") for seed in range(40)
+    ]
+    raised = 0
+    for fw in frameworks:
+        for state in reachable(fw, ALL).states:
+            vis = fw.mask(state.visible)
+            for refset in (frozenset(), random_refset(rng, fw)):
+                acts = dynamics._screen(fw, refset, vis)
+                full = successor_states(fw, refset, state)  # fills the table
+                assert (vis, acts) in fw.folds
+                for bound in range(len(full) + 2):
+                    fresh = raises_too_large(
+                        lambda: dynamics._fold(fw.masks.screens, vis, acts, bound))
+                    hit = raises_too_large(lambda: successor_states(
+                        fw, refset, state, max_states=bound))
+                    assert hit == fresh, (fw, refset, state, bound)
+                    raised += hit
+    assert raised > 100
 
 
 def test_labeling_shares_one_selector_tables():

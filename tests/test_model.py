@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import characteristic
+from conftest import characteristic, moves
 
 from apa.errors import (
     ApaError,
@@ -98,7 +98,7 @@ def test_eliminators_elma(elma):
     assert threats["a4"] == {"a3"}
     assert threats["a3"] == {"a2"}  # its attacker
     assert all(not threats[a] for a in ("a2", "a5"))
-    assert elma.masks.moves == {PersuasionAct("a3", "a4", "a5"): (4, 8)}
+    assert moves(elma) == {PersuasionAct("a3", "a4", "a5"): (4, 8)}
 
 
 def test_relations_without_attacks(alice):
@@ -118,8 +118,8 @@ def test_induced_state_empty(elma):
 def test_convert_to_itself_eliminates_nothing():
     fw = framework(["s", "x", "y"], persuasions=[("s", "x", "x"), ("y", None, "x")])
     assert fw.masks.threats == (0, 0, 0)
-    assert fw.masks.moves[PersuasionAct("s", "x", "x")] == (2, 2)
-    assert fw.masks.moves[PersuasionAct("y", None, "x")] == (0, 2)
+    assert moves(fw)[PersuasionAct("s", "x", "x")] == (2, 2)
+    assert moves(fw)[PersuasionAct("y", None, "x")] == (0, 2)
 
 
 def test_mask_and_members_round_trip(elma):

@@ -72,17 +72,38 @@ def test_cli_examples_run(tmp_path, monkeypatch):
 
 
 def used_names(source):
-    """Every name, attribute name and imported name that `source`
-    mentions."""
+    """Every name and imported name that `source` mentions, and every
+    attribute read from a name that `source` imports, such as
+    `ctl.parse_query` after `from apa import ctl`. Other attributes, such
+    as a method called on an object, do not count."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
     return names
+
+
+def test_used_names_counts_attributes_of_imports_only():
+    """A method of the same name is no caller of a module-level def."""
+    method = "from apa import ctl\n_Parser(text).parse_query()\n"
+    assert "parse_query" not in used_names(method)
+    assert "parse_query" in used_names(method + "ctl.parse_query(text)\n")
+    assert "main" in used_names("import apa.cli\napa.cli.main()\n")
 
 
 def test_every_public_definition_has_a_product_caller():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import characteristic
+from conftest import characteristic, literal_characteristic
 
 from apa import semantics
 from apa.dynamics import ALL, reachable
@@ -44,6 +44,34 @@ def test_conflict_invisible_members_ignored(elma):
 
 
 # -- defendedness ------------------------------------------------------------
+
+
+def test_defended_is_the_literal_characteristic_function():
+    """`_defended`, the subset test against the arguments a candidate
+    attacks, is F as the definitions state it, restricted to any `among`:
+    on every state of random frameworks at the c03, c06 and c07 sizes, for
+    random candidates that may hold invisible arguments."""
+    rng = random.Random(1995)
+    specs = [
+        RandomInstanceSpec(n_args=2 + seed % 5, attack_density=0.3 + seed % 3 / 10,
+                           n_induce=seed % 3, n_convert=seed % 4, seed=70000 + seed)
+        for seed in range(150)
+    ]
+    defended = 0
+    for fw in map(random_framework, specs):
+        masks = fw.masks
+        for m in range(1 << len(fw.arguments)):
+            state = fw.state_of(m)
+            for _ in range(4):
+                candidate = frozenset(a for a in fw.arguments if rng.random() < 0.4)
+                among = rng.getrandbits(len(fw.arguments)) & m  # F ranges over visible arguments
+                want = literal_characteristic(fw, candidate, state)
+                assert characteristic(fw, candidate, state) == want
+                inn = fw.mask(candidate & state.visible)
+                assert semantics._defended(masks, inn, m, among) == \
+                    fw.mask(want) & among, (fw, candidate, state)
+                defended += len(want)
+    assert defended > 1000
 
 
 def test_defends_no_elimination(elma):
