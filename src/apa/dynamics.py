@@ -8,13 +8,14 @@ were converted and making every target visible; an argument both dropped
 and (re)made visible in the same step stays visible (the effects offset).
 
 Acts are screened, and successors computed, on the framework's `int` bit
-masks over the declaration order (`APAFramework.masks`). A state is
-encoded by `APAFramework.mask`; `_screen` is the one screening rule, and
-gives the possible acts as bits over `masks.acts`. The successors depend
-only on the visible mask and those act bits, so each such pair is folded
-once per framework: the fold table lives on the framework
-(`APAFramework.folds`), and every selector that leaves a state the same
-acts reads the same entry. A target is looked up by its mask in
+masks over the declaration order (`APAFramework.masks`). A state is encoded
+by `APAFramework.mask`; `_screen` is the one screening rule, and gives the
+possible acts as bits over `masks.acts`. The successors depend only on the
+visible mask and those act bits, so each such pair is folded once per
+framework: the fold table lives on the framework (`APAFramework.folds`),
+and every selector that leaves a state the same acts reads the same entry.
+A state with more than `max_states` successors raises TooLarge, on a fresh
+fold and on a table hit alike. A target is looked up by its mask in
 `APAFramework.state_of`, so each state is decoded once per framework, not
 once per edge. Two possible acts are linked when they share a trigger or
 target argument; sources do not link them, since screening reads only the
@@ -162,32 +163,29 @@ def successor_states(
     *, max_states: int = DEFAULT_MAX_STATES,
 ) -> frozenset[State]:
     """Distinct successor states of `state` under `refset` (memoized; all
-    inputs immutable). Raises TooLarge as soon as more than `max_states`
-    distinct successors are certain: every successor is reachable.
+    inputs immutable). Raises TooLarge exactly when more than `max_states`
+    distinct successors exist: every successor is reachable.
 
     The successors depend only on the visible mask and the possible acts
     (`_screen`), so the fold is done once per such pair and kept in
     `fw.folds`; a selector that screens out nothing at a state reuses the
-    fold of any other that does the same. With each fold the table keeps
-    the largest successor count the fold checked against `max_states`, so
-    a table hit raises TooLarge exactly when a fresh fold would.
+    fold of any other that does the same. A table hit is bounded by its
+    size, so it raises exactly when a fresh fold would.
     """
     vis = fw.mask(state.visible)
     key = (vis, _screen(fw, refset, vis))
-    entry = fw.folds.get(key)
-    if entry is None:
-        flips, certain = _fold(fw.masks.screens, *key, max_states)
-        entry = fw.folds[key] = (
-            frozenset(fw.state_of(vis ^ f) for f in flips), certain
-        )
-    succs, certain = entry
-    _bound(certain, max_states)
+    succs = fw.folds.get(key)
+    if succs is None:
+        flips = _fold(fw.masks.screens, *key, max_states)
+        succs = fw.folds[key] = frozenset(fw.state_of(vis ^ f) for f in flips)
+    _bound(len(succs), max_states)
     return succs
 
 
-def _fold(screens, vis: int, acts: int, max_states: int) -> tuple[set[int], int]:
+def _fold(screens, vis: int, acts: int, max_states: int) -> set[int]:
     """The toggles (successor mask ^ `vis`) of the nonempty subsets of the
-    acts in `acts`, and the largest successor count checked on the way.
+    acts in `acts`; raises TooLarge exactly when there are more than
+    `max_states` of them.
 
     The acts are split into groups linked by a shared trigger or target
     argument (`_groups` on their (drop, add) masks). Within a group the
@@ -203,13 +201,13 @@ def _fold(screens, vis: int, acts: int, max_states: int) -> tuple[set[int], int]
     exactly the product of the groups' outcomes. The product leaves out
     only the combination where no group fires: a nonempty subset can still
     leave a group as it was (an induce whose target is visible), and then
-    the state itself is a successor. TooLarge is raised before the product
-    that would exceed `max_states` is built.
+    the state itself is a successor. Each count checked against
+    `max_states` is of successors already certain, and later groups only
+    add to it, so TooLarge is raised before an oversized product is built.
     """
     hidden = ~vis
     flips = {0}  # the arguments a combination of group outcomes toggles
     idle = False  # some group has a nonempty subset that changes nothing
-    certain = 0  # the largest successor count checked against max_states
     for group in _groups(screens[i][2] for i in bit_positions(acts)):
         # the acts that drop first, the ones that share a trigger together
         group.sort(reverse=True)
@@ -227,15 +225,13 @@ def _fold(screens, vis: int, acts: int, max_states: int) -> tuple[set[int], int]
         # and the added ones that were hidden
         changes = {d | a & hidden for d, a in effects}
         idle = idle or 0 in changes
-        certain = max(certain, len(changes))
         changes.add(0)
-        # disjoint bits, so every combination is distinct; 0 may not count
-        certain = max(certain, len(flips) * len(changes) - 1)
-        _bound(certain, max_states)
+        # disjoint bits, so every combination is distinct; 0 counts if idle
+        _bound(len(flips) * len(changes) - (not idle), max_states)
         flips = {f | c for f in flips for c in changes}
     if not idle:
         flips.discard(0)
-    return flips, certain
+    return flips
 
 
 def _bound(count: int, max_states: int) -> None:

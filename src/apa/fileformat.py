@@ -71,21 +71,15 @@ def print_framework(fw: APAFramework) -> str:
     """Canonical rendering: one line per relation, declaration order."""
     lines = ["arguments: " + " ".join(fw.arguments)]
     lines.append("initial: " + " ".join(fw.sort_args(fw.initial)))
-    key = lambda pair: tuple(fw.index(a) for a in pair)
-    for a, b in sorted(fw.attacks, key=key):
+    indices = lambda names: tuple(fw.index(a) for a in names if a is not None)
+    for a, b in sorted(fw.attacks, key=indices):
         lines.append(f"attack: {a} -> {b}")
-    induces = sorted(
-        (act for act in fw.persuasions if act.trigger is None),
-        key=lambda act: (fw.index(act.source), fw.index(act.target)),
-    )
-    converts = sorted(
-        (act for act in fw.persuasions if act.trigger is not None),
-        key=lambda act: (
-            fw.index(act.source), fw.index(act.trigger), fw.index(act.target)
-        ),
-    )
-    for act in induces:
-        lines.append(f"induce: {act.source} => {act.target}")
-    for act in converts:
-        lines.append(f"convert: {act.source} : {act.trigger} => {act.target}")
+    # induces (no trigger) before converts
+    for act in sorted(fw.persuasions,
+                      key=lambda act: (act.trigger is not None, indices(act))):
+        if act.trigger is None:
+            lines.append(f"induce: {act.source} => {act.target}")
+        else:
+            lines.append(
+                f"convert: {act.source} : {act.trigger} => {act.target}")
     return "\n".join(lines) + "\n"

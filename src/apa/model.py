@@ -168,10 +168,10 @@ class APAFramework:
         return {}
 
     @functools.cached_property
-    def folds(self) -> dict[tuple[int, int], tuple[frozenset[State], int]]:
+    def folds(self) -> dict[tuple[int, int], frozenset[State]]:
         """`dynamics.successor_states`' fold table: per (visible mask,
-        possible-act bits), the successor states and the count that decides
-        `TooLarge`. Lives as long as the framework, one entry per fold."""
+        possible-act bits), the successor states. Lives as long as the
+        framework, one entry per fold."""
         return {}
 
     # -- bit masks over the declaration order -----------------------------

@@ -11,6 +11,8 @@ import pytest
 from apa.cli import main, parse_sigma_spec
 from apa.dynamics import SelectorFamily
 from apa.errors import ApaError
+from apa.fileformat import print_framework
+from apa.oracle import RandomInstanceSpec, random_framework
 
 ELMA = """
 arguments: a2 a3 a4 a5
@@ -229,6 +231,31 @@ def test_max_states_counts_initial_state(tmp_path):
     assert err == "error: reachable state count exceeds 0\n"
     assert run(["states", str(path), "--max-states", "1"]) == (
         0, "{a}  (initial, deadlock)\n", ""
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [ELMA, "arguments: s t u\ninitial: s t\ninduce: s => t\ninduce: s => u\n"]
+    + [print_framework(random_framework(spec)) for spec in (
+        RandomInstanceSpec(5, 0.2, 2, 2, seed=40003),
+        RandomInstanceSpec(6, 0.2, 4, 4, seed=8),  # 12 states, all successors of one
+        RandomInstanceSpec(6, 0.2, 4, 4, seed=29),
+    )],
+    ids=["elma", "idle-induce", "seed-40003", "seed-8", "seed-29"],
+)
+def test_max_states_at_the_reachable_count(tmp_path, text):
+    """With N states reachable, `--max-states N` prints what the unbounded
+    run prints, and `--max-states N-1` fails, whichever fold or state
+    count meets the bound first."""
+    path = tmp_path / "fw.apa"
+    path.write_text(text)
+    code, out, err = run(["states", str(path)])
+    n = len(out.splitlines())
+    assert (code, err) == (0, "") and n > 1
+    assert run(["states", str(path), "--max-states", str(n)]) == (0, out, "")
+    assert run(["states", str(path), "--max-states", str(n - 1)]) == (
+        1, "", f"error: reachable state count exceeds {n - 1}\n"
     )
 
 

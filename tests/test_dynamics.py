@@ -400,18 +400,18 @@ def raises_too_large(call) -> bool:
 
 
 def test_too_large_as_a_fresh_fold_raises_it():
-    """The fold table raises TooLarge under a bound exactly when a fresh
-    fold under that bound would, also on a hit for an entry folded under a
-    larger bound."""
-    # the fold never counts the state itself, which the idle induce of t
-    # makes a successor: two successors pass the bound 1
+    """A fresh fold and a table hit under a bound both raise TooLarge
+    exactly when more distinct successors exist than the bound, also on a
+    hit for an entry folded under a larger bound."""
+    successor_states.cache_clear()
+    # the idle induce of t makes the state itself a successor: its two
+    # successors exceed the bound 1
     idle = framework(["s", "t", "u"], persuasions=[("s", None, "t"), ("s", None, "u")],
                      initial=["s", "t"])
     state = idle.initial_state
     assert len(successor_states(idle, frozenset(), state)) == 2
-    assert len(successor_states(idle, frozenset(), state, max_states=1)) == 2
     with pytest.raises(TooLarge):
-        successor_states(idle, frozenset(), state, max_states=0)
+        successor_states(idle, frozenset(), state, max_states=1)
     # a raising fold leaves no entry behind
     ring = trigger_ring(5)
     key = (ring.mask(ring.arguments), (1 << len(ring.persuasions)) - 1)
@@ -419,24 +419,33 @@ def test_too_large_as_a_fresh_fold_raises_it():
         successor_states(ring, frozenset(), ring.initial_state, max_states=3)
     assert key not in ring.folds
     rng = random.Random(17)
-    frameworks = [idle, ring, SHAPES] + [
+    # `successor_states`' cache is keyed on framework equality, so a
+    # framework equal to an earlier one reads that one's sets, not its own
+    # fold table: each distinct framework is checked once
+    frameworks = dict.fromkeys([idle, ring, SHAPES] + [
         random_framework(SWEEP_SIZES[sweep](seed))
-        for sweep in ("c03", "c07") for seed in range(40)
-    ]
+        for sweep in ("c03", "c06", "c07") for seed in range(40)
+    ])
     raised = 0
     for fw in frameworks:
-        for state in reachable(fw, ALL).states:
+        lts = reachable(fw, ALL)
+        for state in lts.states:
             vis = fw.mask(state.visible)
+            key = (vis, dynamics._screen(fw, frozenset(), vis))
+            assert lts.tables[0][state] is fw.folds[key]
+        for m in range(1 << len(fw.arguments)):
+            state = fw.state_of(m)
             for refset in (frozenset(), random_refset(rng, fw)):
-                acts = dynamics._screen(fw, refset, vis)
+                acts = dynamics._screen(fw, refset, m)
                 full = successor_states(fw, refset, state)  # fills the table
-                assert (vis, acts) in fw.folds
+                assert fw.folds[(m, acts)] is full
+                assert full == successors_bruteforce(fw, refset, state)
                 for bound in range(len(full) + 2):
                     fresh = raises_too_large(
-                        lambda: dynamics._fold(fw.masks.screens, vis, acts, bound))
+                        lambda: dynamics._fold(fw.masks.screens, m, acts, bound))
                     hit = raises_too_large(lambda: successor_states(
                         fw, refset, state, max_states=bound))
-                    assert hit == fresh, (fw, refset, state, bound)
+                    assert hit == fresh == (len(full) > bound), (fw, refset, state, bound)
                     raised += hit
     assert raised > 100
 
