@@ -67,7 +67,12 @@ def _read(path: str) -> str:
 
 
 def _print_json(doc, out) -> None:
-    """Print `doc` as canonical JSON. Only `--json` output imports `json`."""
+    """Print `doc` as canonical JSON. Only `--json` output imports `json`.
+
+    `transitions --json` is the one document written otherwise: it grows
+    with the edge count, not the state count, so `cmd_transitions` writes
+    it edge by edge, in the bytes this function would print.
+    """
     import json
 
     print(json.dumps(doc, sort_keys=True), file=out)
@@ -105,25 +110,24 @@ def cmd_states(args, fw, out) -> int:
 
 def cmd_transitions(args, fw, out) -> int:
     lts = dynamics.reachable(fw, _sigma_family(fw, args.sigma), args.max_states)
-    # each state's members are sorted once, not once per edge end
     if args.json:
-        members = {s: _state_doc(fw, s) for s in lts.states}
-        doc = {
-            "edges": [
-                {
-                    "from": members[src],
-                    "selector": sel,
-                    "refset": (
-                        None
-                        if lts.family.is_wildcard
-                        else list(fw.sort_args(lts.family.effective[sel]))
-                    ),
-                    "to": members[dst],
-                }
-                for src, sel, dst in lts.edges
-            ]
-        }
-        _print_json(doc, out)
+        import json
+
+        # each state's members and each selector's reference set are
+        # encoded once, not once per edge
+        members = {s: json.dumps(_state_doc(fw, s)) for s in lts.states}
+        refsets = [
+            "null" if lts.family.is_wildcard
+            else json.dumps(list(fw.sort_args(refset)))
+            for refset in lts.family.effective
+        ]
+        out.write('{"edges": [')
+        sep = ""
+        for src, sel, dst in lts.edges:
+            out.write(f'{sep}{{"from": {members[src]}, "refset": {refsets[sel]}, '
+                      f'"selector": {sel}, "to": {members[dst]}}}')
+            sep = ", "
+        out.write("]}\n")
         return 0
     names = {s: fw.format_set(s.visible) for s in lts.states}
     for src, sel, dst in lts.edges:

@@ -47,5 +47,5 @@ def export_dot(lts: LTS, annotate_extensions: str | None = None) -> str:
     for src, sel, dst in lts.edges:
         label = selector_label(lts, sel)
         lines.append(f'  {ids[src]} -> {ids[dst]} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)

@@ -1,15 +1,17 @@
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from apa.cli import main, parse_sigma_spec
-from apa.dynamics import SelectorFamily
+from apa.dynamics import SelectorFamily, reachable
 from apa.errors import ApaError
 from apa.fileformat import print_framework
 from apa.oracle import RandomInstanceSpec, random_framework
@@ -435,3 +437,87 @@ def test_benchmark_trace_hooks_resolve(elma_file, tmp_path):
     expansions = [s for s in spans if s[1] == "dynamics.successor_states"]
     assert len(expansions) == len(out.splitlines()) == 2
     assert all(s[4] == reach for s in expansions)
+
+
+# -- transitions --json, written edge by edge ---------------------------------
+
+
+def _edges_doc(fw, lts):
+    """The `transitions --json` document, built whole from `lts.edges`."""
+    members = {s: list(fw.sort_args(s.visible)) for s in lts.states}
+    return {
+        "edges": [
+            {
+                "from": members[src],
+                "selector": sel,
+                "refset": (
+                    None
+                    if lts.family.is_wildcard
+                    else list(fw.sort_args(lts.family.effective[sel]))
+                ),
+                "to": members[dst],
+            }
+            for src, sel, dst in lts.edges
+        ]
+    }
+
+
+_STREAMED_FRAMEWORKS = [
+    # the c03 and c07 sweep sizes, then the two explore benchmark rungs
+    *(RandomInstanceSpec(2 + seed % 5, 0.3, 1, 2, seed=seed)
+      for seed in range(0, 500, 10)),
+    *(RandomInstanceSpec(2 + seed % 5, 0.2, 2, 2, seed=40000 + seed)
+      for seed in range(0, 300, 6)),
+    RandomInstanceSpec(12, 0.15, 6, 6, seed=85),
+    RandomInstanceSpec(14, 0.15, 8, 8, seed=164),
+]
+
+
+@pytest.mark.parametrize("spec", ["all", "{a1,a2},{}", "{a1},{a1}"])
+def test_transitions_json_streams_the_canonical_document(spec, tmp_path):
+    path = tmp_path / "fw.apa"
+    for instance in _STREAMED_FRAMEWORKS:
+        fw = random_framework(instance)
+        path.write_text(print_framework(fw))
+        lts = reachable(fw, parse_sigma_spec(spec))
+        want = json.dumps(_edges_doc(fw, lts), sort_keys=True) + "\n"
+        assert run(["transitions", str(path), "--sigma", spec, "--json"]) \
+            == (0, want, ""), instance
+
+
+def test_transitions_json_without_edges(tmp_path):
+    path = tmp_path / "still.apa"
+    path.write_text("arguments: a b\ninitial: a\nattack: a -> b\n")
+    assert run(["transitions", str(path), "--json"]) \
+        == (0, '{"edges": []}\n', "")
+
+
+class _HashingSink:
+    """A text stream that keeps only the sha1 of what it is given."""
+
+    def __init__(self):
+        self.digest = hashlib.sha1()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+
+def test_transitions_json_memory_stays_near_the_lts(tmp_path):
+    # the larger explore rung: 152 states and 2,246 edges; the document
+    # built whole peaked at 3.9 MB, written edge by edge at 0.3 MB
+    path = tmp_path / "large.apa"
+    fw = random_framework(RandomInstanceSpec(14, 0.15, 8, 8, seed=164))
+    path.write_text(print_framework(fw))
+    argv = ["transitions", str(path), "--json"]
+    warm = _HashingSink()
+    assert main(argv, out=warm) == 0  # fills the process-wide caches
+    sink = _HashingSink()
+    tracemalloc.start()
+    try:
+        assert main(argv, out=sink) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.digest.hexdigest() == warm.digest.hexdigest()
+    assert peak < 1 << 20, peak
