@@ -11,28 +11,36 @@
 false, 1 any error. All output is deterministic; `--json` (states,
 transitions, semantics, check) switches the result to a canonical JSON
 document.
+
+Options take their value as `--opt value` or `--opt=value`; `--help`
+prints a usage line. Each CLI call is a fresh process, so this module
+loads little: `_COMMANDS` and `_OPTIONS` are the one table of commands and
+options that both the parser and the usage lines read, each `cmd_*`
+imports only the engine modules it runs, and `_json` writes the JSON
+documents without the `json` module.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import dynamics, semantics
-from .dot import export_dot, selector_label
-from .dynamics import ALL, SelectorFamily
 from .errors import ApaError, UnknownName
-from .fileformat import parse_framework
-from .model import APAFramework, State
 
-_SIGMA_RE = re.compile(r"\{([^{}]*)\}")
+if TYPE_CHECKING:
+    from .dynamics import SelectorFamily
+    from .model import APAFramework, State
+
+_SIGMA_SET = r"\{([^{}]*)\}"  # compiled on first use, by `--sigma` commands
 
 
 def parse_sigma_spec(spec: str) -> SelectorFamily:
+    from .dynamics import ALL, SelectorFamily
+
     if spec == "all":
         return ALL
-    rest = _SIGMA_RE.sub("", spec).replace(",", "").strip()
+    rest = re.sub(_SIGMA_SET, "", spec).replace(",", "").strip()
     if rest:
         raise ApaError(
             f"bad --sigma value {spec!r}: expected 'all' or brace-set "
@@ -40,7 +48,7 @@ def parse_sigma_spec(spec: str) -> SelectorFamily:
         )
     refsets = [
         frozenset(t for t in body.replace(",", " ").split() if t)
-        for body in _SIGMA_RE.findall(spec)
+        for body in re.findall(_SIGMA_SET, spec)
     ]
     if not refsets:
         raise ApaError(f"bad --sigma value {spec!r}: no selectors")
@@ -66,25 +74,34 @@ def _read(path: str) -> str:
         raise ApaError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _print_json(doc, out) -> None:
-    """Print `doc` as canonical JSON. Only `--json` output imports `json`.
+def _json(doc) -> str:
+    """`doc` as canonical JSON, the text of `json.dumps(doc, sort_keys=True)`.
 
-    `transitions --json` is the one document written otherwise: it grows
-    with the edge count, not the state count, so `cmd_transitions` writes
-    it edge by edge, in the bytes this function would print.
+    A document holds dicts, lists, tuples, booleans, None and strings. Its
+    only strings are fixed keys, semantics labels and argument names that
+    match `model.NAME`, so none needs escaping.
     """
-    import json
+    if isinstance(doc, dict):
+        return "{" + ", ".join(f'"{key}": {_json(doc[key])}'
+                               for key in sorted(doc)) + "}"
+    if isinstance(doc, (list, tuple)):
+        return "[" + ", ".join(map(_json, doc)) + "]"
+    if doc is None:
+        return "null"
+    if isinstance(doc, bool):
+        return "true" if doc else "false"
+    return f'"{doc}"'
 
-    print(json.dumps(doc, sort_keys=True), file=out)
+
+def _state_doc(fw: APAFramework, state: State) -> tuple[str, ...]:
+    return fw.sort_args(state.visible)
 
 
-def _state_doc(fw: APAFramework, state: State) -> list[str]:
-    return list(fw.sort_args(state.visible))
+def cmd_states(fw, out, sigma, json, **bounds) -> int:
+    from . import dynamics
 
-
-def cmd_states(args, fw, out) -> int:
-    lts = dynamics.reachable(fw, _sigma_family(fw, args.sigma), args.max_states)
-    if args.json:
+    lts = dynamics.reachable(fw, _sigma_family(fw, sigma), **bounds)
+    if json:
         doc = {
             "states": [
                 {
@@ -95,7 +112,7 @@ def cmd_states(args, fw, out) -> int:
                 for s in lts.states
             ]
         }
-        _print_json(doc, out)
+        print(_json(doc), file=out)
         return 0
     for s in lts.states:
         marks = []
@@ -108,17 +125,18 @@ def cmd_states(args, fw, out) -> int:
     return 0
 
 
-def cmd_transitions(args, fw, out) -> int:
-    lts = dynamics.reachable(fw, _sigma_family(fw, args.sigma), args.max_states)
-    if args.json:
-        import json
+def cmd_transitions(fw, out, sigma, json, **bounds) -> int:
+    """The edges as text, or as a JSON document written edge by edge: it
+    grows with the edge count, not the state count. Either way each
+    state's members and each selector's label are formatted once, not
+    once per edge."""
+    from . import dynamics
 
-        # each state's members and each selector's reference set are
-        # encoded once, not once per edge
-        members = {s: json.dumps(_state_doc(fw, s)) for s in lts.states}
+    lts = dynamics.reachable(fw, _sigma_family(fw, sigma), **bounds)
+    if json:
+        members = {s: _json(_state_doc(fw, s)) for s in lts.states}
         refsets = [
-            "null" if lts.family.is_wildcard
-            else json.dumps(list(fw.sort_args(refset)))
+            "null" if lts.family.is_wildcard else _json(fw.sort_args(refset))
             for refset in lts.family.effective
         ]
         out.write('{"edges": [')
@@ -129,42 +147,46 @@ def cmd_transitions(args, fw, out) -> int:
             sep = ", "
         out.write("]}\n")
         return 0
+    from .dot import selector_label
+
     names = {s: fw.format_set(s.visible) for s in lts.states}
+    labels = [f"#{sel} {selector_label(lts, sel)}"
+              for sel in range(len(lts.family.effective))]
     for src, sel, dst in lts.edges:
-        label = f"#{sel} {selector_label(lts, sel)}"
-        print(f"{names[src]} -[{label}]-> {names[dst]}", file=out)
+        out.write(f"{names[src]} -[{labels[sel]}]-> {names[dst]}\n")
     return 0
 
 
-def cmd_semantics(args, fw, out) -> int:
-    members = [t for t in args.state.replace(",", " ").split() if t]
+def cmd_semantics(fw, out, state, which, json, **bounds) -> int:
+    from . import semantics
+
+    members = [t for t in state.replace(",", " ").split() if t]
     try:
-        state = fw.state(members)
+        at = fw.state(members)
     except UnknownName as exc:  # listed as typed
         unknown = [t for t in members if t in exc.names]
         raise ApaError(
             f"unknown arguments in --state: {', '.join(unknown)}"
         ) from None
-    exts = semantics.extensions(fw, args.which, state, args.max_args)
-    if args.json:
+    exts = semantics.extensions(fw, which, at, **bounds)
+    if json:
         doc = {
-            "label": args.which,
-            "state": _state_doc(fw, state),
-            "extensions": [list(fw.sort_args(e)) for e in exts],
+            "label": which,
+            "state": _state_doc(fw, at),
+            "extensions": [fw.sort_args(e) for e in exts],
         }
-        _print_json(doc, out)
+        print(_json(doc), file=out)
         return 0
     for ext in exts:
         print(fw.format_set(ext), file=out)
     return 0
 
 
-def cmd_check(args, fw, out) -> int:
-    from . import ctl  # only `check` pays for importing the query engine
+def cmd_check(fw, out, query, json, **bounds) -> int:
+    from . import ctl
 
-    query = ctl.parse_query(_read(args.query))
-    result = ctl.check(fw, query, args.max_states, args.max_args)
-    if args.json:
+    result = ctl.check(fw, ctl.parse_query(_read(query)), **bounds)
+    if json:
         witness = None
         if result.witness is not None:
             witness = {
@@ -172,7 +194,7 @@ def cmd_check(args, fw, out) -> int:
                 "cycle": [_state_doc(fw, s) for s in result.witness.cycle],
             }
         doc = {"value": result.value, "witness": witness}
-        _print_json(doc, out)
+        print(_json(doc), file=out)
     else:
         print("true" if result.value else "false", file=out)
         if result.witness is not None:
@@ -186,84 +208,147 @@ def cmd_check(args, fw, out) -> int:
     return 0 if result.value else 2
 
 
-def cmd_dot(args, fw, out) -> int:
-    lts = dynamics.reachable(fw, _sigma_family(fw, args.sigma), args.max_states)
-    out.write(export_dot(lts, args.annotate))
+def cmd_dot(fw, out, sigma, annotate, **bounds) -> int:
+    from . import dot, dynamics
+
+    lts = dynamics.reachable(fw, _sigma_family(fw, sigma), **bounds)
+    out.write(dot.export_dot(lts, annotate))
     return 0
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Reports usage errors as `ApaError`, so they exit 1 through `main`
-    like every other error (status 2 means a false verdict). Subparsers
-    inherit the class."""
+#: Each option: its kind and its default. Kinds: "flag" (False unless
+#: given); "str"; "label", one of `semantics.LABELS`; and "int", a bound
+#: that must not be negative. A bound left out is not passed on, so the
+#: engine's own default applies. A default of `_REQUIRED` makes the option
+#: required.
+_REQUIRED = object()
+_OPTIONS = {
+    "--sigma": ("str", "all"),
+    "--json": ("flag", False),
+    "--max-states": ("int", None),
+    "--max-args": ("int", None),
+    "--state": ("str", _REQUIRED),
+    "--which": ("label", _REQUIRED),
+    "--annotate": ("label", None),
+}
 
-    def error(self, message: str):
-        raise ApaError(message)
+#: Each command: its function, summary, positional arguments and options.
+_COMMANDS = {
+    "states": (cmd_states, "list reachable states", ("file",),
+               ("--sigma", "--json", "--max-states")),
+    "transitions": (cmd_transitions, "list labeled transitions", ("file",),
+                    ("--sigma", "--json", "--max-states")),
+    "semantics": (cmd_semantics, "list extensions at a state", ("file",),
+                  ("--json", "--max-args", "--state", "--which")),
+    "check": (cmd_check, "evaluate a query file", ("file", "query"),
+              ("--json", "--max-states", "--max-args")),
+    "dot": (cmd_dot, "emit the LTS as Graphviz DOT", ("file",),
+            ("--sigma", "--max-states", "--annotate")),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="apa",
-        description="Persuasion-dynamics argumentation: state enumeration, "
-        "per-state semantics and temporal queries.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage(name: str | None) -> str:
+    """The `--help` text of command `name`, or of `apa` itself."""
+    if name is None:
+        lines = [f"usage: apa {{{','.join(_COMMANDS)}}} ...", ""]
+        lines += [f"  {cmd:<12} {spec[1]}" for cmd, spec in _COMMANDS.items()]
+        lines += ["", "apa <command> --help shows the command's options"]
+        return "\n".join(lines)
+    _, summary, positionals, options = _COMMANDS[name]
+    words = ["usage: apa", name]
+    for option in options:
+        kind, default = _OPTIONS[option]
+        if kind == "label":
+            from .semantics import LABELS
 
-    def command(name, help, func, sigma=False, as_json=False,
-                max_states=False, max_args=False):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        p.add_argument("file", help="framework file")
-        if sigma:
-            p.add_argument(
-                "--sigma",
-                default="all",
-                help="'all' or comma-separated brace-set literals "
-                "(default: all)",
-            )
-        if as_json:
-            p.add_argument("--json", action="store_true",
-                           help="emit a canonical JSON document")
-        if max_states:
-            p.add_argument("--max-states", type=int,
-                           default=dynamics.DEFAULT_MAX_STATES,
-                           help="override the reachable-state bound")
-        if max_args:  # dot --annotate keeps the default
-            p.add_argument("--max-args", type=int,
-                           default=semantics.DEFAULT_MAX_ENUM_ARGS,
-                           help="override the extension-search bound")
-        return p
+            option += f" {{{','.join(LABELS)}}}"
+        elif kind != "flag":
+            option += " " + option[2:].upper().replace("-", "_")
+        words.append(option if default is _REQUIRED else f"[{option}]")
+    return " ".join(words + list(positionals)) + f"\n\n{summary}"
 
-    command("states", "list reachable states", cmd_states,
-            sigma=True, as_json=True, max_states=True)
-    command("transitions", "list labeled transitions", cmd_transitions,
-            sigma=True, as_json=True, max_states=True)
-    p = command("semantics", "list extensions at a state", cmd_semantics,
-                as_json=True, max_args=True)
-    p.add_argument("--state", required=True,
-                   help="comma-separated visible arguments")
-    p.add_argument("--which", required=True,
-                   choices=list(semantics.LABELS))
-    p = command("check", "evaluate a query file", cmd_check,
-                as_json=True, max_states=True, max_args=True)
-    p.add_argument("query", help="query file")
-    p = command("dot", "emit the LTS as Graphviz DOT", cmd_dot,
-                sigma=True, max_states=True)
-    p.add_argument("--annotate", choices=list(semantics.LABELS),
-                   default=None,
-                   help="annotate each node with this label's extensions")
-    return parser
+
+def _value(option: str, kind: str, text: str):
+    if kind == "int":
+        try:
+            value = int(text)
+        except ValueError:
+            raise ApaError(f"{option}: invalid int value {text!r}") from None
+        if value < 0:
+            raise ApaError(f"{option} must not be negative")
+        return value
+    if kind == "label":
+        from .semantics import LABELS
+
+        if text not in LABELS:
+            raise ApaError(f"{option}: invalid choice {text!r} "
+                           f"(choose from {', '.join(LABELS)})")
+    return text
+
+
+def _parse(argv: list[str]):
+    """The command that `argv` names, and its arguments as keyword
+    arguments of its `cmd_*` function; None for those when `argv` asks
+    for help. Options take their value as `--opt value` or `--opt=value`,
+    before, between or after the positionals."""
+    if not argv:
+        raise ApaError(f"expected a command: {', '.join(_COMMANDS)}")
+    name, *rest = argv
+    if name in ("-h", "--help"):
+        return None, None
+    if name not in _COMMANDS:
+        raise ApaError(f"unknown command {name!r} "
+                       f"(choose from {', '.join(_COMMANDS)})")
+    _, _, positionals, options = _COMMANDS[name]
+    values, given = [], {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return name, None
+        if not token.startswith("-"):
+            values.append(token)
+            continue
+        option, eq, text = token.partition("=")
+        if option not in options:
+            raise ApaError(f"apa {name} has no option {option}")
+        kind = _OPTIONS[option][0]
+        if kind == "flag":
+            if eq:
+                raise ApaError(f"{option} takes no value")
+            given[option] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise ApaError(f"{option} expects a value")
+        given[option] = _value(option, kind, text)
+    if len(values) > len(positionals):
+        extra = " ".join(values[len(positionals):])
+        raise ApaError(f"unexpected arguments: {extra}")
+    missing = list(positionals[len(values):]) + [
+        option for option in options
+        if _OPTIONS[option][1] is _REQUIRED and option not in given
+    ]
+    if missing:
+        raise ApaError(f"missing arguments: {', '.join(missing)}")
+    args = dict(zip(positionals, values))
+    for option in options:
+        kind, default = _OPTIONS[option]
+        if option in given or kind != "int":
+            args[option[2:].replace("-", "_")] = given.get(option, default)
+    return name, args
 
 
 def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        for bound in ("max_states", "max_args"):
-            if getattr(args, bound, 0) < 0:
-                option = "--" + bound.replace("_", "-")
-                raise ApaError(f"{option} must not be negative")
-        fw = parse_framework(_read(args.file))
-        return args.func(args, fw, out)
+        name, args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_usage(name), file=out)
+            return 0
+        from . import fileformat
+
+        fw = fileformat.parse_framework(_read(args.pop("file")))
+        return _COMMANDS[name][0](fw, out, **args)
     except (ApaError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -8,7 +8,6 @@ across runs: states, edges and attributes are emitted in canonical order.
 from __future__ import annotations
 
 from .dynamics import LTS
-from .semantics import LABELS, extensions
 
 
 def selector_label(lts: LTS, selector: int) -> str:
@@ -23,10 +22,16 @@ def export_dot(lts: LTS, annotate_extensions: str | None = None) -> str:
 
     When `annotate_extensions` names a semantics label, each node also
     lists that label's extensions at the state (a search bounded by the
-    default `--max-args`; only use at desk scale).
+    default `--max-args`; only use at desk scale). Only then does it load
+    `semantics`.
     """
-    if annotate_extensions is not None and annotate_extensions not in LABELS:
-        raise ValueError(f"unknown semantics label: {annotate_extensions!r}")
+    if annotate_extensions is not None:
+        from . import semantics
+
+        if annotate_extensions not in semantics.LABELS:
+            raise ValueError(
+                f"unknown semantics label: {annotate_extensions!r}"
+            )
 
     fw = lts.framework
     ids = {state: f"s{i}" for i, state in enumerate(lts.states)}
@@ -35,7 +40,7 @@ def export_dot(lts: LTS, annotate_extensions: str | None = None) -> str:
     for state in lts.states:
         label = fw.format_set(state.visible)
         if annotate_extensions is not None:
-            exts = extensions(fw, annotate_extensions, state)
+            exts = semantics.extensions(fw, annotate_extensions, state)
             ext_text = " ".join(fw.format_set(e) for e in exts)
             label = f"{label}\\n{annotate_extensions}: {ext_text}"
         attrs = [f'label="{label}"']
@@ -44,8 +49,9 @@ def export_dot(lts: LTS, annotate_extensions: str | None = None) -> str:
         if state in lts.deadlocks:
             attrs.append("peripheries=2")
         lines.append(f'  {ids[state]} [{", ".join(attrs)}];')
+    labels = [selector_label(lts, sel)
+              for sel in range(len(lts.family.effective))]
     for src, sel, dst in lts.edges:
-        label = selector_label(lts, sel)
-        lines.append(f'  {ids[src]} -> {ids[dst]} [label="{label}"];')
+        lines.append(f'  {ids[src]} -> {ids[dst]} [label="{labels[sel]}"];')
     lines.append("}\n")
     return "\n".join(lines)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -75,6 +76,12 @@ def test_states_all(elma_file):
         "{a2,a3,a4}  (initial)\n"
         "{a2,a3,a5}  (deadlock)\n"
     )
+    # the console script's path: `main()` reads `sys.argv`
+    proc = subprocess.run(
+        [sys.executable, "-m", "apa.cli", "states", elma_file],
+        env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 def test_states_blocked_selector(elma_file):
@@ -106,6 +113,10 @@ def test_semantics_lists_extensions(elma_file):
     )
     assert code == 0
     assert out == "{}\n{a2}\n{a2,a4}\n"
+    # `--opt=value`, and options before the positional argument
+    assert run(
+        ["semantics", "--which=ad", "--state", "a2,a3,a4", elma_file]
+    ) == (0, out, "")
 
 
 def test_semantics_unknown_argument(elma_file):
@@ -269,13 +280,16 @@ def test_check_literal_does_not_capture_declared_set(tmp_path):
     assert run(["check", str(fw), str(q)]) == (0, "true\n", "")
 
 
-def test_cli_import_leaves_query_engine_unloaded():
+def _src_env():
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return dict(os.environ, PYTHONPATH=str(root / "src"))
+
+
+def test_cli_import_leaves_query_engine_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import apa.cli, sys; print('apa.ctl' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_src_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.stdout == "False\n", proc.stderr
 
@@ -283,17 +297,60 @@ def test_cli_import_leaves_query_engine_unloaded():
 def test_package_import_leaves_dataclasses_unloaded():
     """Each CLI call is a fresh process: the package's records are
     NamedTuples and plain classes, so importing it never loads
-    `dataclasses` (and what that imports), and only `--json` output loads
-    `json`. `-S` keeps site-packages out."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    `dataclasses` (and what that imports), and no output loads `json`.
+    `-S` keeps site-packages out."""
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import apa.cli, apa.ctl, sys; "
          "print([m for m in ('dataclasses', 'json') if m in sys.modules])"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_src_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.stdout == "[]\n", proc.stderr
+
+
+#: Runs `apa` as the console script does, then prints the modules loaded.
+_LOADED = """\
+import sys
+from apa.cli import main
+code = main()
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("apa", "argparse", "json")))
+sys.exit(code)
+"""
+_BASE = ["apa", "apa.cli", "apa.errors", "apa.fileformat", "apa.model"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["states", "--json"], ["apa.dynamics"]),
+        (["transitions", "--json"], ["apa.dynamics"]),
+        (["transitions"], ["apa.dot", "apa.dynamics"]),
+        (["semantics", "--state", "a2,a3,a4", "--which", "co", "--json"],
+         ["apa.semantics"]),
+        (["check", "QUERY", "--json"],
+         ["apa.ctl", "apa.dynamics", "apa.semantics"]),
+        (["dot"], ["apa.dot", "apa.dynamics"]),
+        (["dot", "--annotate", "gr"],
+         ["apa.dot", "apa.dynamics", "apa.semantics"]),
+    ],
+    ids=["states", "transitions-json", "transitions", "semantics", "check",
+         "dot", "dot-annotate"],
+)
+def test_each_command_loads_only_what_it_runs(argv, loaded, elma_file,
+                                              tmp_path):
+    """A command loads the engine modules it runs and no others, and no
+    command loads `argparse` or `json`. `-S` keeps site-packages out."""
+    q = tmp_path / "q.q"
+    q.write_text(QUERY_TRUE)
+    argv = [argv[0], elma_file] + [str(q) if a == "QUERY" else a
+                                    for a in argv[1:]]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _LOADED, *argv],
+        env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(sorted(_BASE + loaded))
 
 
 @pytest.mark.parametrize(
@@ -344,6 +401,17 @@ def test_max_args_only_where_extensions_are_enumerated(argv, elma_file):
         ["semantics", "ELMA", "--state", "a2", "--which", "xx"],
         ["bogus"],
         [],
+        ["states", "ELMA", "--max-states=abc"],
+        ["semantics", "--which=xx", "--state=a2", "ELMA"],
+        ["semantics", "--state", "a2", "ELMA"],  # no --which
+        ["semantics", "ELMA", "--which", "ad"],  # no --state
+        ["check", "ELMA", "--json"],  # no query file
+        ["states", "ELMA", "ELMA"],
+        ["states"],
+        ["check", "--json", "ELMA", "ELMA", "ELMA"],
+        ["states", "ELMA", "--json=1"],
+        ["states", "ELMA", "--max-states"],
+        ["states", "ELMA", "--max-s", "9"],  # no abbreviations
     ],
 )
 def test_usage_errors_exit_1(argv, elma_file):
@@ -353,11 +421,14 @@ def test_usage_errors_exit_1(argv, elma_file):
     assert err.startswith("error:")
 
 
-def test_help_exits_0(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["states", "--help"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: apa states")
+def test_help_exits_0():
+    for argv in (["--help"], ["-h"], ["states", "--help"], ["dot", "-h"],
+                 ["transitions", "--help"], ["check", "x", "--help"],
+                 ["semantics", "--help", "--which", "xx"]):
+        code, out, err = run(argv)
+        assert (code, err) == (0, ""), argv
+        want = "usage: apa " + (argv[0] if argv[0][0] != "-" else "{")
+        assert out.startswith(want), (argv, out)
 
 
 @pytest.mark.parametrize("command", ["states", "transitions", "dot"])
@@ -483,6 +554,33 @@ def test_transitions_json_streams_the_canonical_document(spec, tmp_path):
         want = json.dumps(_edges_doc(fw, lts), sort_keys=True) + "\n"
         assert run(["transitions", str(path), "--sigma", spec, "--json"]) \
             == (0, want, ""), instance
+
+
+def test_json_documents_are_canonical(tmp_path):
+    """Every `--json` document is the text `json.dumps(doc, sort_keys=True)`
+    gives for it, though `cli` writes it without the `json` module."""
+    path = tmp_path / "fw.apa"
+    q = tmp_path / "q.q"
+    rng = random.Random(7)
+    for seed in range(0, 300, 10):
+        spec = RandomInstanceSpec(2 + seed % 5, 0.3, 1, 2, seed=seed)
+        fw = random_framework(spec)
+        path.write_text(print_framework(fw))
+        states = reachable(fw).states
+        argvs = [["states", "--json"], ["transitions", "--json"],
+                 ["transitions", "--json", "--sigma", "{a1},{}"]]
+        for label in ("ad", "co", "pr", "st", "gr"):
+            state = ",".join(rng.choice(states).visible) or ","
+            argvs.append(["semantics", "--json", "--which", label,
+                          "--state", state])
+        for formula in ("EF{*} visible(a1)", "AG{*} visible(a1)",
+                        "EG{{a2}} !visible(a2)", "in(a1, {a1})"):
+            q.write_text(f"formula: {formula}\n")
+            argvs.append(["check", "--json", str(q)])
+        for argv in argvs:
+            code, out, err = run([argv[0], str(path), *argv[1:]])
+            assert code in (0, 2) and err == "", (seed, argv, err)
+            assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
 
 def test_transitions_json_without_edges(tmp_path):
