@@ -339,7 +339,11 @@ def _parse(argv: list[str]):
     return name, args
 
 
-def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
+def main(argv=None, out=None, err=None) -> int:
+    """Run one command; `out` and `err` default to `sys.stdout` and
+    `sys.stderr` as they are at the call."""
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
     try:
         name, args = _parse(sys.argv[1:] if argv is None else argv)
         if args is None:

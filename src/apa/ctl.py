@@ -193,51 +193,49 @@ def _operands(node: Formula) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
+#: Blanks, line ends and comments match without a group; a name, `->` or
+#: one punctuation character matches as `token`; any other character as
+#: `bad`.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\r?\n)
-  | (?P<arrow>->)
-  | (?P<name>""" + NAME + r""")
-  | (?P<punct>[(){}\[\],!&|=:*])
+    [ \t\n]+ | \r\n | \#[^\n]*
+  | (?P<token> -> | """ + NAME + r""" | [(){}\[\],!&|=:*] )
+  | (?P<bad> . )
     """,
     re.VERBOSE,
 )
 
-
-class _Token(NamedTuple):
-    kind: str  # "name", "punct", "arrow", "eof"
-    text: str
-    line: int
-    column: int
+#: `|` and `&` by how tightly they bind, and the node each one builds;
+#: `->` binds more loosely than both (`parse_formula`).
+_BINARY = {"|": (1, Or), "&": (2, And)}
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """Line and column, both from 1, of `offset`; lines end at "\\n"."""
+    start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, offset) + 1, offset - start + 1
+
+
+def _tokenize(source: str) -> list[tuple[str, int]]:
+    """The tokens of `source` as (text, offset) pairs, closed by ("", end).
+    A token is a name exactly when its text is an identifier."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        tok = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                tokens.append(_Token(kind, tok, line, col))
-            col += len(tok)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(source):
+        if m.lastgroup == "token":
+            tokens.append((m.group(), m.start()))
+        elif m.lastgroup:
+            raise QuerySyntaxError(
+                f"unexpected character {m.group()!r}",
+                *_position(source, m.start()),
+            )
+    tokens.append(("", len(source)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
         self.sets: dict[str, frozenset[str]] = {}
         self.implicit: list[str] = []
@@ -246,45 +244,55 @@ class _Parser:
     # -- token plumbing ---------------------------------------------------
 
     @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
+    def text(self) -> str:
+        """The current token's text; "" at the end of input."""
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
-        tok = self.cur
+    def take(self) -> str:
+        """The current token's text, moving past it."""
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][0]
+
+    def skip(self, text: str) -> bool:
+        """Move past the current token if its text is `text`."""
+        if self.tokens[self.pos][0] != text:
+            return False
+        self.pos += 1
+        return True
+
+    def position(self) -> tuple[int, int]:
+        return _position(self.source, self.tokens[self.pos][1])
 
     def error(self, message: str):
-        raise QuerySyntaxError(message, self.cur.line, self.cur.column)
+        raise QuerySyntaxError(message, *self.position())
 
     def found(self) -> str:
         """The current token, as an error message names it."""
-        if self.cur.kind == "eof":
-            return "end of input"
-        return repr(self.cur.text)
+        return repr(self.text) if self.text else "end of input"
 
-    def expect(self, text: str) -> _Token:
-        if self.cur.text != text:
+    def expect(self, text: str) -> None:
+        if not self.skip(text):
             self.error(f"expected {text!r}, found {self.found()}")
-        return self.advance()
-
-    def at(self, text: str) -> bool:
-        return self.cur.text == text
 
     # -- query file -------------------------------------------------------
 
     def parse_query(self) -> Query:
-        while self.at("set"):
-            self.advance()
-            name = self.parse_setname_decl()
+        while self.skip("set"):
+            name = self.text
+            if not name.isidentifier():
+                self.error("expected a set name")
+            if name in RESERVED:
+                self.error(f"{name!r} is a reserved word")
+            if name in self.sets:
+                self.error(f"set {name!r} declared twice")
+            self.pos += 1
             self.expect("=")
-            members = self.parse_set_literal()
-            self.sets[name] = members
+            self.sets[name] = self.parse_set_literal()
         self.expect("formula")
         self.expect(":")
         formula = self.parse_formula()
-        if self.cur.kind != "eof":
-            self.error(f"trailing input {self.cur.text!r}")
+        if self.text:
+            self.error(f"trailing input {self.text!r}")
         if _height(formula) > MAX_NESTING:
             self.error(f"formula nested more than {MAX_NESTING} levels deep")
         return Query(
@@ -293,76 +301,60 @@ class _Parser:
             implicit=frozenset(self.implicit),
         )
 
-    def parse_setname_decl(self) -> str:
-        tok = self.cur
-        if tok.kind != "name":
-            self.error("expected a set name")
-        if tok.text in RESERVED:
-            self.error(f"{tok.text!r} is a reserved word")
-        if tok.text in self.sets:
-            self.error(f"set {tok.text!r} declared twice")
-        return self.advance().text
-
     def parse_set_literal(self) -> frozenset[str]:
         self.expect("{")
         members = []
-        while not self.at("}"):
-            if self.cur.kind != "name":
-                self.error("expected an argument name")
-            members.append(self.advance().text)
-            if self.at(","):
-                self.advance()
-        self.expect("}")
+        while not self.skip("}"):
+            members.append(self.parse_argname())
+            self.skip(",")
         return frozenset(members)
 
-    def fresh_literal(self, members: frozenset[str]) -> str:
-        """Bind an inline literal to the first `_s<i>` name not yet taken."""
-        i = len(self.implicit)
-        while f"_s{i}" in self.sets:
-            i += 1
-        name = f"_s{i}"
-        self.sets[name] = members
-        self.implicit.append(name)
-        return name
-
-    def parse_setref(self) -> str:
-        """A named set, or an inline literal bound to a fresh name."""
-        if self.at("{"):
-            return self.fresh_literal(self.parse_set_literal())
-        tok = self.cur
-        if tok.kind != "name":
-            self.error("expected a set name or literal")
-        if tok.text not in self.sets:
-            raise UnknownName(
-                f"undeclared set {tok.text!r} at line {tok.line}"
+    def parse_setref(self, selector: bool = False) -> str:
+        """A declared set name, or an inline literal bound to the first
+        `_s<i>` name not yet taken. A `selector` entry words its errors
+        for a selector list."""
+        if self.text == "{":
+            members = self.parse_set_literal()
+            i = len(self.implicit)
+            while f"_s{i}" in self.sets:
+                i += 1
+            name = f"_s{i}"
+            self.sets[name] = members
+            self.implicit.append(name)
+            return name
+        name = self.text
+        if not name.isidentifier():
+            where = " in selector list" if selector else ""
+            self.error(f"expected a set name or literal{where}")
+        if name not in self.sets:
+            kind, unknown = (
+                ("selector ", UnknownSelector) if selector else ("", UnknownName)
             )
-        return self.advance().text
+            line = self.position()[0]
+            raise unknown(f"undeclared {kind}set {name!r} at line {line}")
+        return self.take()
 
     # -- formulas ---------------------------------------------------------
 
     def parse_formula(self) -> Formula:
-        operands = [self.parse_or()]
-        while self.cur.kind == "arrow":
-            self.advance()
-            operands.append(self.parse_or())
+        operands = [self.parse_binary()]
+        while self.skip("->"):
+            operands.append(self.parse_binary())
         node = operands.pop()
         while operands:  # right-assoc
             node = Implies(operands.pop(), node)
         return node
 
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while self.at("|"):
-            self.advance()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Formula:
+    def parse_binary(self, floor: int = 1) -> Formula:
+        """Operands joined by the `_BINARY` operators that bind at least
+        as tightly as `floor`, each operator left-associative."""
         node = self.parse_unary()
-        while self.at("&"):
-            self.advance()
-            node = And(node, self.parse_unary())
-        return node
+        while True:
+            binding, cls = _BINARY.get(self.text, (0, None))
+            if binding < floor:
+                return node
+            self.pos += 1
+            node = cls(node, self.parse_binary(binding + 1))
 
     def parse_unary(self) -> Formula:
         # every recursion of the parser passes through here
@@ -374,64 +366,49 @@ class _Parser:
         return node
 
     def parse_unary_body(self) -> Formula:
-        tok = self.cur
-        if self.at("!"):
-            self.advance()
+        if self.skip("!"):
             return Not(self.parse_unary())
-        if tok.kind == "name" and tok.text in UNARY_TEMPORAL:
-            self.advance()
+        op = self.text
+        if op in UNARY_TEMPORAL:
+            self.pos += 1
             sigma = self.parse_sigma()
-            return Temporal(tok.text, sigma, self.parse_unary())
-        if tok.kind == "name" and tok.text in ("A", "E"):
-            self.advance()
+            return Temporal(op, sigma, self.parse_unary())
+        if op in ("A", "E"):
+            self.pos += 1
             sigma = self.parse_sigma()
             self.expect("[")
             left = self.parse_formula()
             self.expect("U")
             right = self.parse_formula()
             self.expect("]")
-            return Until(tok.text, sigma, left, right)
+            return Until(op, sigma, left, right)
         return self.parse_atom()
 
     def parse_sigma(self) -> Sigma:
         self.expect("{")
-        if self.at("*"):
-            self.advance()
+        if self.skip("*"):
             self.expect("}")
             return None
         names = []
-        while not self.at("}"):
-            tok = self.cur
-            if self.at("{"):
-                names.append(self.fresh_literal(self.parse_set_literal()))
-            elif tok.kind != "name":
-                self.error("expected a set name or literal in selector list")
-            elif tok.text not in self.sets:
-                raise UnknownSelector(
-                    f"undeclared selector set {tok.text!r} at line {tok.line}"
-                )
-            else:
-                names.append(self.advance().text)
-            if self.at(","):
-                self.advance()
-        self.expect("}")
+        while not self.skip("}"):
+            names.append(self.parse_setref(selector=True))
+            self.skip(",")
         if not names:
             self.error("empty selector list")
         return tuple(names)
 
     def parse_atom(self) -> Formula:
-        tok = self.cur
-        if self.at("("):
-            self.advance()
+        if self.skip("("):
             node = self.parse_formula()
             self.expect(")")
             return node
-        if tok.kind != "name":
+        keyword = self.text
+        if not keyword.isidentifier():
             self.error(f"expected a formula, found {self.found()}")
-        cls = _ATOM_CLASSES.get(tok.text)
+        cls = _ATOM_CLASSES.get(keyword)
         if cls is None:
-            self.error(f"unknown construct {tok.text!r}")
-        self.advance()
+            self.error(f"unknown construct {keyword!r}")
+        self.pos += 1
         kinds = _ATOMS[cls][1]
         if not kinds:
             return cls()
@@ -445,16 +422,14 @@ class _Parser:
         return cls(*operands)
 
     def parse_argname(self) -> str:
-        tok = self.cur
-        if tok.kind != "name":
+        if not self.text.isidentifier():
             self.error("expected an argument name")
-        return self.advance().text
+        return self.take()
 
     def parse_label(self) -> str:
-        tok = self.cur
-        if tok.kind != "name" or tok.text not in SEMANTICS_LABELS:
+        if self.text not in SEMANTICS_LABELS:
             self.error("expected one of ad, co, pr, st, gr")
-        return self.advance().text
+        return self.take()
 
 
 def parse_query(text: str) -> Query:

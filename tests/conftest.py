@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from apa import semantics
@@ -67,6 +69,32 @@ def literal_characteristic(fw, candidate, state):
         arg for arg in visible
         if all(any((m, t) in fw.attacks for m in members) for t in threats(arg))
     )
+
+
+#: What a mutation inserts or puts in place of a character: the tokens of
+#: both text formats, line ends, and characters neither format accepts.
+MUTATION_ALPHABET = (
+    "\r", "\n", "\r\n", " ", "\t", "#", "->", "=>", "{*}", "\u00e9", "\x00",
+    "{", "}", "(", ")", "[", "]", ",", "!", "&", "|", "=", ":", "*", "-",
+    "U", "A", "E", "EF", "AG", "in", "sem", "ad", "visible", "exact", "set",
+    "formula", "arguments", "attack", "convert", "a2", "S", "_s0",
+)
+
+
+def mutants(texts, count, seed):
+    """`count` seeded mutations of `texts`: each applies one to three
+    deletions, insertions or replacements drawn from `MUTATION_ALPHABET`
+    to one of the texts, taken in turn."""
+    rng = random.Random(seed)
+    for i in range(count):
+        text = texts[i % len(texts)]
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            edit = rng.choice(("delete", "insert", "replace"))
+            piece = "" if edit == "delete" else rng.choice(MUTATION_ALPHABET)
+            cut = 0 if edit == "insert" else rng.randint(1, 3)
+            text = text[:at] + piece + text[at + cut:]
+        yield text
 
 
 # The query printer: renders a parsed query back to concrete syntax, for

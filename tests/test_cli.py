@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -429,6 +430,22 @@ def test_help_exits_0():
         assert (code, err) == (0, ""), argv
         want = "usage: apa " + (argv[0] if argv[0][0] != "-" else "{")
         assert out.startswith(want), (argv, out)
+
+
+def test_main_writes_to_the_streams_current_at_the_call(elma_file):
+    """Without `out` and `err`, `main` prints to `sys.stdout` and
+    `sys.stderr` as they are when it is called, so `redirect_stdout` and
+    `redirect_stderr` capture its usage text, its output and its errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        codes = (
+            main(["--help"]),
+            main(["states", elma_file]),
+            main(["states", elma_file + ".missing"]),
+        )
+    assert codes == (0, 0, 1)
+    assert out.getvalue() == run(["--help"])[1] + run(["states", elma_file])[1]
+    assert err.getvalue().startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["states", "transitions", "dot"])

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 import re
@@ -6,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import print_query, varying_operand
+from conftest import mutants, print_query, varying_operand
 
 from apa import ctl
 from apa.ctl import (
@@ -28,7 +29,13 @@ from apa.ctl import (
     parse_query,
 )
 from apa.dynamics import SelectorFamily, reachable
-from apa.errors import QuerySyntaxError, TooLarge, UnknownName, UnknownSelector
+from apa.errors import (
+    ApaError,
+    QuerySyntaxError,
+    TooLarge,
+    UnknownName,
+    UnknownSelector,
+)
 from apa.model import State, framework
 from apa.oracle import (
     RandomInstanceSpec,
@@ -238,6 +245,43 @@ def test_declared_literal_name_roundtrip():
     query = parse_query(DECLARED_S0)
     assert print_query(query) == DECLARED_S0
     assert parse_query(print_query(query)) == query
+
+
+#: The queries the malformed-input corpus mutates: the README's query and
+#: some of the tests' queries above.
+CORPUS_QUERIES = (
+    EXAMPLE_QUERY,
+    "set S = {a2}\nformula: A{S,{a3,a2}}[true U EX{{}} in(a2, {a2})]\n",
+    "set S = {a}\nformula: E{*}[visible(a) U sem(gr, S)]\n",
+    DECLARED_S0,
+    "formula: true | false & !true -> AG{*} exact({x}, {x,y})\n",
+)
+
+
+def parse_outcome(text):
+    """What `parse_query` makes of `text`, whatever the hash seed: the
+    query's sets, implicit names and formula, or the error's class,
+    message, line and column. Any error but an `ApaError` propagates."""
+    try:
+        query = parse_query(text)
+    except ApaError as exc:
+        where = (getattr(exc, "line", None), getattr(exc, "column", None))
+        return repr((type(exc).__name__, str(exc), where))
+    sets = [(name, sorted(members)) for name, members in query.sets]
+    return repr((sets, sorted(query.implicit), query.formula))
+
+
+def test_malformed_queries_keep_their_outcomes():
+    """2,000 seeded mutations of the corpus queries each parse to the same
+    query, or fail with the same error at the same place, as the parser
+    did when the digest was pinned; only `ApaError`s escape."""
+    outcomes = "\n".join(
+        parse_outcome(text) for text in mutants(CORPUS_QUERIES, 2000, seed=1)
+    )
+    digest = hashlib.sha256(outcomes.encode()).hexdigest()
+    assert digest == (
+        "afbbf015eb8fdaf7cd4356db477bd7762261a400bfab1c65894df5bcafd308e2"
+    )
 
 
 def test_wide_formula_labels_in_budget():

@@ -1,8 +1,10 @@
 import pytest
 
+from conftest import mutants
+
 from apa.dot import export_dot
 from apa.dynamics import ALL, SelectorFamily, reachable
-from apa.errors import QuerySyntaxError, ValidationError
+from apa.errors import ApaError, QuerySyntaxError, ValidationError
 from apa.fileformat import parse_framework, print_framework
 from apa.model import PersuasionAct
 from apa.oracle import RandomInstanceSpec, random_framework
@@ -55,6 +57,21 @@ def test_parse_breaks_lines_only_at_newline(elma):
         "BadInitial: zz (line 2)"
     ]
     assert parse_framework(ELMA_FILE.replace("\n", "\r\n")) == elma
+
+
+def test_malformed_frameworks_raise_only_apa_errors():
+    """2,000 seeded mutations of the README framework and two smaller ones
+    either parse or raise an `ApaError`; nothing else escapes."""
+    texts = (
+        ELMA_FILE,
+        "arguments: a1 a2\ninitial: a1 a2\nconvert: a1 : a2 => a1\n",
+        "arguments: a b c\ninitial: a\nattack: b -> a\ninduce: a => c\n",
+    )
+    for text in mutants(texts, 2000, seed=1):
+        try:
+            parse_framework(text)
+        except ApaError:
+            pass
 
 
 def test_parse_bad_attack_arrow():
