@@ -30,7 +30,7 @@ from .errors import ApaError, UnknownName
 
 if TYPE_CHECKING:
     from .dynamics import SelectorFamily
-    from .model import APAFramework, State
+    from .model import APAFramework
 
 _SIGMA_SET = r"\{([^{}]*)\}"  # compiled on first use, by `--sigma` commands
 
@@ -55,15 +55,19 @@ def parse_sigma_spec(spec: str) -> SelectorFamily:
     return SelectorFamily(tuple(refsets))
 
 
-def _sigma_family(fw: APAFramework, spec: str) -> SelectorFamily:
-    """The `--sigma` family, with every name checked against `fw`."""
-    family = parse_sigma_spec(spec)
+def _lts(fw: APAFramework, sigma: str, bounds):
+    """The LTS of `fw` under the `--sigma` family, with every name in the
+    family checked against `fw`: what `states`, `transitions` and `dot`
+    print."""
+    from . import dynamics
+
+    family = parse_sigma_spec(sigma)
     unknown = set().union(*family.effective) - set(fw.arguments)
     if unknown:
         raise ApaError(
             f"unknown arguments in --sigma: {', '.join(sorted(unknown))}"
         )
-    return family
+    return dynamics.reachable(fw, family, **bounds)
 
 
 def _read(path: str) -> str:
@@ -72,6 +76,8 @@ def _read(path: str) -> str:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ApaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except ValueError as exc:  # a NUL in the path
+        raise ApaError(f"{path!r}: {exc}") from None
 
 
 def _json(doc) -> str:
@@ -93,55 +99,49 @@ def _json(doc) -> str:
     return f'"{doc}"'
 
 
-def _state_doc(fw: APAFramework, state: State) -> tuple[str, ...]:
-    return fw.sort_args(state.visible)
+def _write(out, json: bool, doc, lines) -> None:
+    """Write `doc` as canonical JSON, or else the text `lines` read off it,
+    one per line."""
+    out.write(_json(doc) + "\n" if json
+              else "".join(f"{line}\n" for line in lines))
 
 
 def cmd_states(fw, out, sigma, json, **bounds) -> int:
-    from . import dynamics
+    lts = _lts(fw, sigma, bounds)
+    doc = {
+        "states": [
+            {
+                "visible": fw.sort_args(s.visible),
+                "initial": s == lts.initial,
+                "deadlock": s in lts.deadlocks,
+            }
+            for s in lts.states
+        ]
+    }
 
-    lts = dynamics.reachable(fw, _sigma_family(fw, sigma), **bounds)
-    if json:
-        doc = {
-            "states": [
-                {
-                    "visible": _state_doc(fw, s),
-                    "initial": s == lts.initial,
-                    "deadlock": s in lts.deadlocks,
-                }
-                for s in lts.states
-            ]
-        }
-        print(_json(doc), file=out)
-        return 0
-    for s in lts.states:
-        marks = []
-        if s == lts.initial:
-            marks.append("initial")
-        if s in lts.deadlocks:
-            marks.append("deadlock")
-        suffix = f"  ({', '.join(marks)})" if marks else ""
-        print(fw.format_set(s.visible) + suffix, file=out)
+    def line(entry):
+        marks = ", ".join(m for m in ("initial", "deadlock") if entry[m])
+        text = fw.format_set(entry["visible"])
+        return f"{text}  ({marks})" if marks else text
+
+    _write(out, json, doc, map(line, doc["states"]))
     return 0
 
 
 def cmd_transitions(fw, out, sigma, json, **bounds) -> int:
-    """The edges as text, or as a JSON document written edge by edge: it
-    grows with the edge count, not the state count. Either way each
-    state's members and each selector's label are formatted once, not
-    once per edge."""
-    from . import dynamics
-
-    lts = dynamics.reachable(fw, _sigma_family(fw, sigma), **bounds)
+    """The edges as text, or as a JSON document written edge by edge; both
+    walk the LTS's tables, so neither keeps the edges. Each state's members
+    and each selector's label are formatted once, not once per edge."""
+    lts = _lts(fw, sigma, bounds)
     if json:
-        members = {s: _json(_state_doc(fw, s)) for s in lts.states}
+        members = {s: _json(fw.sort_args(s.visible)) for s in lts.states}
         refsets = [
             "null" if lts.family.is_wildcard else _json(fw.sort_args(refset))
             for refset in lts.family.effective
         ]
         out.write('{"edges": [')
         sep = ""
-        for src, sel, dst in lts.edges:
+        for src, sel, dst in lts.walk():
             out.write(f'{sep}{{"from": {members[src]}, "refset": {refsets[sel]}, '
                       f'"selector": {sel}, "to": {members[dst]}}}')
             sep = ", "
@@ -152,7 +152,7 @@ def cmd_transitions(fw, out, sigma, json, **bounds) -> int:
     names = {s: fw.format_set(s.visible) for s in lts.states}
     labels = [f"#{sel} {selector_label(lts, sel)}"
               for sel in range(len(lts.family.effective))]
-    for src, sel, dst in lts.edges:
+    for src, sel, dst in lts.walk():
         out.write(f"{names[src]} -[{labels[sel]}]-> {names[dst]}\n")
     return 0
 
@@ -168,17 +168,13 @@ def cmd_semantics(fw, out, state, which, json, **bounds) -> int:
         raise ApaError(
             f"unknown arguments in --state: {', '.join(unknown)}"
         ) from None
-    exts = semantics.extensions(fw, which, at, **bounds)
-    if json:
-        doc = {
-            "label": which,
-            "state": _state_doc(fw, at),
-            "extensions": [fw.sort_args(e) for e in exts],
-        }
-        print(_json(doc), file=out)
-        return 0
-    for ext in exts:
-        print(fw.format_set(ext), file=out)
+    doc = {
+        "label": which,
+        "state": fw.sort_args(at.visible),
+        "extensions": [fw.sort_args(e) for e in
+                       semantics.extensions(fw, which, at, **bounds)],
+    }
+    _write(out, json, doc, map(fw.format_set, doc["extensions"]))
     return 0
 
 
@@ -186,33 +182,26 @@ def cmd_check(fw, out, query, json, **bounds) -> int:
     from . import ctl
 
     result = ctl.check(fw, ctl.parse_query(_read(query)), **bounds)
-    if json:
-        witness = None
-        if result.witness is not None:
-            witness = {
-                "prefix": [_state_doc(fw, s) for s in result.witness.prefix],
-                "cycle": [_state_doc(fw, s) for s in result.witness.cycle],
-            }
-        doc = {"value": result.value, "witness": witness}
-        print(_json(doc), file=out)
-    else:
-        print("true" if result.value else "false", file=out)
-        if result.witness is not None:
-            fmt = lambda states: " -> ".join(
-                fw.format_set(s.visible) for s in states
-            )
-            kind = "witness" if result.value else "counterexample"
-            print(f"{kind} prefix: {fmt(result.witness.prefix) or '(empty)'}",
-                  file=out)
-            print(f"{kind} cycle:  {fmt(result.witness.cycle)}", file=out)
+    witness = None if result.witness is None else {
+        key: [fw.sort_args(s.visible) for s in states]
+        for key, states in result.witness._asdict().items()
+    }
+    doc = {"value": result.value, "witness": witness}
+    lines = ["true" if result.value else "false"]
+    if witness is not None:
+        kind = "witness" if result.value else "counterexample"
+        prefix, cycle = (" -> ".join(map(fw.format_set, witness[key]))
+                         for key in ("prefix", "cycle"))
+        lines += [f"{kind} prefix: {prefix or '(empty)'}",
+                  f"{kind} cycle:  {cycle}"]
+    _write(out, json, doc, lines)
     return 0 if result.value else 2
 
 
 def cmd_dot(fw, out, sigma, annotate, **bounds) -> int:
-    from . import dot, dynamics
+    from . import dot
 
-    lts = dynamics.reachable(fw, _sigma_family(fw, sigma), **bounds)
-    out.write(dot.export_dot(lts, annotate))
+    out.write(dot.export_dot(_lts(fw, sigma, bounds), annotate))
     return 0
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import TooLarge
 from .model import APAFramework, PersuasionAct, State, bit_positions
@@ -70,9 +70,11 @@ class LTS:
     """Reachable states plus transitions labeled by selector index.
 
     The transition relation is stored once: `tables[i]` maps every state
-    to the set `successor_states` gave for it under selector `i`; `edges`
-    and `deadlocks` are derived from them on first use, in canonical order.
-    Immutable by convention.
+    to the set `successor_states` gave for it under selector `i`. `walk()`
+    reads the edges off the tables in canonical order, and every output
+    iterates it; `edges` keeps that walk as a tuple for library callers,
+    and `edges` and `deadlocks` are derived on first use. Immutable by
+    convention.
     """
 
     def __init__(
@@ -89,17 +91,19 @@ class LTS:
         self.initial = initial
         self.tables = tables
 
+    def walk(self) -> Iterator[tuple[State, int, State]]:
+        """(source, selector index, target) triples, one at a time: sources
+        and targets in `states` order, selectors in index order."""
+        position = {s: i for i, s in enumerate(self.states)}
+        for s in self.states:
+            for i, table in enumerate(self.tables):
+                for t in sorted(table[s], key=position.__getitem__):
+                    yield s, i, t
+
     @functools.cached_property
     def edges(self) -> tuple[tuple[State, int, State], ...]:
-        """(source, selector index, target) triples: sources and targets in
-        `states` order, selectors in index order."""
-        position = {s: i for i, s in enumerate(self.states)}
-        return tuple(
-            (s, i, t)
-            for s in self.states
-            for i, table in enumerate(self.tables)
-            for t in sorted(table[s], key=position.__getitem__)
-        )
+        """The triples of `walk()`, kept."""
+        return tuple(self.walk())
 
     @functools.cached_property
     def deadlocks(self) -> frozenset[State]:

@@ -236,6 +236,15 @@ def test_non_utf8_files_exit_1(elma_file, tmp_path):
     assert code == 1 and err.startswith("error:") and "UTF-8" in err
 
 
+def test_nul_in_a_path_exits_1(elma_file):
+    """`open` rejects a path with a NUL byte by `ValueError`, not
+    `OSError`; only a caller of `main(argv)` can pass one."""
+    assert run(["states", "a\x00b"]) \
+        == (1, "", "error: 'a\\x00b': embedded null byte\n")
+    code, out, err = run(["check", elma_file, "q\x00"])
+    assert (code, out) == (1, "") and err.startswith("error: 'q\\x00': ")
+
+
 def test_max_states_counts_initial_state(tmp_path):
     # the initial state is a deadlock, so no successor ever meets the bound
     path = tmp_path / "static.apa"
@@ -625,6 +634,123 @@ def test_transitions_json_memory_stays_near_the_lts(tmp_path):
     fw = random_framework(RandomInstanceSpec(14, 0.15, 8, 8, seed=164))
     path.write_text(print_framework(fw))
     argv = ["transitions", str(path), "--json"]
+    warm = _HashingSink()
+    assert main(argv, out=warm) == 0  # fills the process-wide caches
+    sink = _HashingSink()
+    tracemalloc.start()
+    try:
+        assert main(argv, out=sink) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.digest.hexdigest() == warm.digest.hexdigest()
+    assert peak < 1 << 20, peak
+
+
+# -- a seeded argv corpus ------------------------------------------------------
+
+_CORPUS_FRAMEWORK = """\
+arguments: a1 a2 a3 a4
+initial: a1 a2
+attack: a1 -> a2
+attack: a3 -> a1
+induce: a1 => a3
+convert: a2 : a1 => a4
+"""
+
+_CORPUS_FILES = {
+    "fw.apa": _CORPUS_FRAMEWORK,
+    "true.q": "formula: EF{*} visible(a3)\n",
+    "false.q": "set S = {a2}\nformula: AG{S,{}} visible(a1)\n",
+    "bad.q": "formula: EF{*} (visible(a1)\n",
+}
+
+#: Every command, every option in both forms, good and bad values, file
+#: names that exist and one that does not, and words no parser expects.
+_CORPUS_WORDS = [
+    "states", "transitions", "semantics", "check", "dot",
+    "--sigma", "--sigma=all", "--sigma={a2},{}", "--json", "--json=1",
+    "--max-states", "--max-states=2", "--max-args", "--max-args=1",
+    "--state", "--state=a1,a2", "--which", "--which=co",
+    "--annotate", "--annotate=gr", "--help", "-h",
+    "all", "{a2},{}", "{a3}", "{zz}", "a1", "a1,a2", "a2 a4", "zz",
+    "ad", "co", "pr", "st", "gr", "xx", "0", "1", "9", "-1", "abc",
+    *_CORPUS_FILES, "nope.apa", "", "=", "-", "é", "\x00",
+]
+
+
+def _corpus(rng, count):
+    """`count` argvs: mostly a command, the framework file (and for
+    `check`, a query file) and a few drawn words, so that some calls get
+    past the parser."""
+    queries = [name for name in _CORPUS_FILES if name.endswith(".q")]
+    for _ in range(count):
+        argv = rng.choices(_CORPUS_WORDS, k=rng.randint(0, 5))
+        if rng.random() < 0.8:
+            argv.insert(0, rng.choice(_CORPUS_WORDS[:5]))
+        if argv and rng.random() < 0.7:
+            files = ["fw.apa"]
+            if argv[0] == "check":
+                files.append(rng.choice(queries))
+            at = rng.randint(1, len(argv))
+            argv[at:at] = files
+        yield argv
+
+
+def test_seeded_argv_corpus(tmp_path, monkeypatch):
+    """About 2,000 drawn argvs: each call returns 0, 1 or 2 and raises
+    nothing, and what the calls without a NUL print is pinned."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in _CORPUS_FILES.items():
+        (tmp_path / name).write_text(text)
+    digest = hashlib.sha256()
+    codes = []
+    for argv in _corpus(random.Random(2024), 2000):
+        code, out, err = run(argv)
+        assert code in (0, 1, 2), argv
+        codes.append(code)
+        if not any("\x00" in word for word in argv):
+            digest.update(repr((argv, code, out, err)).encode())
+    assert set(codes) == {0, 1, 2}
+    assert digest.hexdigest() == (
+        "6b107392f8cd1b8ec21308d2ce462c2164e864beaefb5b1608e733a9e168156d"
+    )
+
+
+# -- outputs walk the successor tables -----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["states"], ["transitions"], ["transitions", "--json"], ["dot"],
+     ["dot", "--annotate", "gr"]],
+    ids=["states", "transitions", "transitions-json", "dot", "dot-annotate"],
+)
+def test_no_output_command_keeps_the_edges(argv, elma_file, monkeypatch):
+    """Every output reads the edges from `LTS.walk()`, so the LTS a
+    command built never caches its `edges` tuple."""
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(reachable(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr("apa.dynamics.reachable", capture)
+    code, out, err = run([argv[0], elma_file, *argv[1:]])
+    assert (code, err) == (0, "") and out
+    (lts,) = built
+    assert "edges" not in vars(lts)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_transitions_memory_stays_near_the_lts(json_flag, tmp_path):
+    # ten induces from one source: 1,024 states and 59,048 edges; with the
+    # edges kept as a tuple, either form peaked at 4.3 MB, walking the
+    # tables at 0.25 MB
+    path = tmp_path / "fan.apa"
+    path.write_text(_wide(["s"], [f"t{i}" for i in range(10)],
+                          [f"induce: s => t{i}" for i in range(10)]))
+    argv = ["transitions", str(path), *json_flag]
     warm = _HashingSink()
     assert main(argv, out=warm) == 0  # fills the process-wide caches
     sink = _HashingSink()
