@@ -71,12 +71,11 @@ def print_framework(fw: APAFramework) -> str:
     """Canonical rendering: one line per relation, declaration order."""
     lines = ["arguments: " + " ".join(fw.arguments)]
     lines.append("initial: " + " ".join(fw.sort_args(fw.initial)))
-    indices = lambda names: tuple(fw.index(a) for a in names if a is not None)
-    for a, b in sorted(fw.attacks, key=indices):
+    bit = fw.masks.bit
+    for a, b in sorted(fw.attacks, key=lambda atk: (bit[atk[0]], bit[atk[1]])):
         lines.append(f"attack: {a} -> {b}")
-    # induces (no trigger) before converts
-    for act in sorted(fw.persuasions,
-                      key=lambda act: (act.trigger is not None, indices(act))):
+    # `masks.acts` lists the induces (no trigger) before the converts
+    for act in fw.masks.acts:
         if act.trigger is None:
             lines.append(f"induce: {act.source} => {act.target}")
         else:

@@ -4,11 +4,15 @@ Arguments are plain string ids matching `NAME`; a framework fixes their
 declaration order, which every set-valued output in the package is sorted
 by. A state is a value object identified solely by its visible set. A
 framework derives its relations once, as bit masks over the declaration
-order (`masks`); `mask` and `members` are the one encoder and decoder of
-argument sets, and successors, extensions and membership tests read them.
+order (`masks`). `masks.bit` is the one name -> position table; `mask` and
+`members` are the one encoder and decoder of argument sets, and
+successors, extensions and membership tests read them. `masks.acts` is
+the one act order, the order in which a framework file lists the acts.
 Each state is decoded once per framework: `state_of` keeps the `State` it
 built for every visible mask and hands the same object back afterwards,
-and `folds` keeps each successor fold the dynamics computed.
+and `state` returns that object too. The tables the other layers derive
+live on the framework and die with it: `folds` keeps each successor fold
+the dynamics computed, and `grounded` each grounded set of the semantics.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ class Masks(NamedTuple):
     invisible arguments included: `bit[a]`; per argument position, its
     `attackers`, its `victims` (the arguments it attacks), its `threats`
     (attackers and the sources of the convert acts (s, x, t), t != x, that
-    drop it) and its `clash` (attacking or attacked). `acts` fixes an
-    order of the acts, so that bit i of an act mask stands for `acts[i]`,
+    drop it) and its `clash` (attacking or attacked). `acts` lists the
+    acts as a framework file does, induces first, then by the declaration
+    indices of their arguments; bit i of an act mask stands for `acts[i]`,
     and `screens[i]` is that act's screening row: the bits it needs
     visible (source and trigger), its source's `attackers` and its (drop,
     add) move."""
@@ -98,6 +103,13 @@ class APAFramework:
         self.persuasions = persuasions
         self.initial = initial
         self._hash = hash(self._fields())
+        # tables derived as the framework is used, freed with it: one
+        # `State` per visible mask decoded (`state_of`), `dynamics`' folds
+        # per (visible mask, possible-act bits) and `semantics`' grounded
+        # set per state
+        self._states: dict[int, State] = {}
+        self.folds: dict[tuple[int, int], frozenset[State]] = {}
+        self.grounded: dict[State, frozenset[str]] = {}
 
     def _fields(self) -> tuple:
         return self.arguments, self.attacks, self.persuasions, self.initial
@@ -122,33 +134,28 @@ class APAFramework:
 
     # -- canonical ordering ------------------------------------------------
 
-    def index(self, arg: str) -> int:
-        return self._index[arg]
-
-    @functools.cached_property
-    def _index(self) -> dict[str, int]:
-        return {a: i for i, a in enumerate(self.arguments)}
-
     def sort_args(self, args: Iterable[str]) -> tuple[str, ...]:
         """Sort argument ids by declaration order."""
-        return tuple(sorted(args, key=self._index.__getitem__))
+        return tuple(sorted(args, key=self.masks.bit.__getitem__))
 
     def state_key(self, state: State) -> tuple[int, ...]:
-        """Canonical sort key for states: the tuple of member indices."""
-        return tuple(sorted(self._index[a] for a in state.visible))
+        """Canonical sort key for states: the sorted tuple of member bits."""
+        return tuple(sorted(map(self.masks.bit.__getitem__, state.visible)))
 
     # -- states ------------------------------------------------------------
 
     def state(self, visible: Iterable[str]) -> State:
-        """The state whose visible set is `visible`; every member must be a
-        declared argument."""
+        """The state whose visible set is `visible`, the very object
+        `state_of` keeps for its mask; every member must be a declared
+        argument."""
         visible = frozenset(visible)
-        if not visible <= self._index.keys():
-            unknown = tuple(sorted(visible - self._index.keys()))
+        bit = self.masks.bit
+        if not visible <= bit.keys():
+            unknown = tuple(sorted(visible - bit.keys()))
             raise UnknownName(
                 f"undeclared arguments in state: {', '.join(unknown)}", unknown
             )
-        return State(visible)
+        return self.state_of(self.mask(visible))
 
     @property
     def initial_state(self) -> State:
@@ -162,25 +169,13 @@ class APAFramework:
             state = self._states[mask] = State(self.members(mask))
         return state
 
-    @functools.cached_property
-    def _states(self) -> dict[int, State]:
-        # lives as long as the framework; one entry per state decoded
-        return {}
-
-    @functools.cached_property
-    def folds(self) -> dict[tuple[int, int], frozenset[State]]:
-        """`dynamics.successor_states`' fold table: per (visible mask,
-        possible-act bits), the successor states. Lives as long as the
-        framework, one entry per fold."""
-        return {}
-
     # -- bit masks over the declaration order -----------------------------
 
     @functools.cached_property
     def masks(self) -> Masks:
         """The framework's relations as bit masks, built once."""
-        bit = {a: 1 << i for i, a in enumerate(self.arguments)}
-        index = self._index
+        index = {a: i for i, a in enumerate(self.arguments)}
+        bit = {a: 1 << i for a, i in index.items()}
         attackers = [0] * len(bit)
         victims = [0] * len(bit)
         for a, b in self.attacks:
@@ -188,7 +183,10 @@ class APAFramework:
             victims[index[a]] |= bit[b]
         clash = [x | y for x, y in zip(attackers, victims)]
         threats = list(attackers)
-        acts = tuple(self.persuasions)
+        # induces first, then by the declaration indices of their arguments
+        acts = tuple(sorted(self.persuasions, key=lambda act: (
+            act.trigger is not None,
+            tuple(index[a] for a in act if a is not None))))
         screens = []
         for act in acts:
             drop = 0 if act.trigger is None else bit[act.trigger]

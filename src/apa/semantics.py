@@ -15,11 +15,12 @@ computed once, on masks, by `_defended`. Admissibility asks R <= F(R)
 (`is_defended`); completeness asks that F(R) hold no visible non-member
 (`is_complete` and the search's cut on OUT arguments), so closure is
 restricted to visible arguments; the grounded set is F's least fixpoint,
-iterated from the empty set. F is monotone, so Dung's fundamental lemma
-carries over: a preferred set is a maximal complete set, and a stable set
-is an admissible set attacking every visible non-member. `holds` is the
-one definition of each label for a given set. The `ad` and `co`
-extensions are listed by a pruned search that labels the visible
+iterated from the empty set and kept per state in the framework's
+`grounded` table, which dies with the framework. F is monotone, so Dung's
+fundamental lemma carries over: a preferred set is a maximal complete set,
+and a stable set is an admissible set attacking every visible non-member.
+`holds` is the one definition of each label for a given set. The `ad` and
+`co` extensions are listed by a pruned search that labels the visible
 arguments IN or OUT (`_search`), not by testing every visible subset;
 `pr` and `st` are filtered from the complete sets through `holds`.
 `max_args` bounds the visible arguments of a listing and of a `pr` test,
@@ -161,18 +162,20 @@ def complete_sets(
     return _search(fw, state, max_args, complete=True)
 
 
-@functools.lru_cache(maxsize=None)
 def grounded_set(fw: APAFramework, state: State) -> frozenset[str]:
     """The least fixpoint of the characteristic function, iterated from the
     empty set on masks. Each iterate is admissible, so the fixpoint is the
     least complete set, the intersection of all complete sets at `state`.
-    Cached per state like `complete_sets`, since `sem(gr, X)` atoms ask for
-    it at every state once per candidate set X."""
-    masks, vis = fw.masks, fw.mask(state.visible)
-    grounded = 0
-    while (nxt := _defended(masks, grounded, vis, vis)) != grounded:
-        grounded = nxt
-    return fw.members(grounded)
+    Kept per state in `fw.grounded`, since `sem(gr, X)` atoms ask for it
+    at every state once per candidate set X."""
+    grounded = fw.grounded.get(state)
+    if grounded is None:
+        masks, vis = fw.masks, fw.mask(state.visible)
+        inn = 0
+        while (nxt := _defended(masks, inn, vis, vis)) != inn:
+            inn = nxt
+        grounded = fw.grounded[state] = fw.members(inn)
+    return grounded
 
 
 def holds(

@@ -65,6 +65,10 @@ def test_sigma_spec_literals():
 def test_sigma_spec_garbage():
     with pytest.raises(ApaError):
         parse_sigma_spec("a2,a3")
+    for spec in ("", ","):  # nothing but separators names no reference set
+        with pytest.raises(ApaError) as exc:
+            parse_sigma_spec(spec)
+        assert str(exc.value) == f"bad --sigma value {spec!r}: no selectors"
 
 
 # -- subcommands -------------------------------------------------------------

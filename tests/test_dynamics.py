@@ -302,6 +302,7 @@ def test_each_state_is_one_object(two_selectors):
             assert canonical[state] is state
             assert all(canonical[succ] is succ for succ in succs)
     assert len(fw._states) == len(lts.states)
+    assert all(fw.state(s.visible) is s for s in lts.states)
 
 
 # -- the fold table ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import os
 import pickle
 import subprocess
@@ -78,7 +79,7 @@ def test_bad_argument_names_rejected(name):
 def relation(fw, name):
     """One per-argument relation of `fw.masks`, decoded to names."""
     masks = getattr(fw.masks, name)
-    return {a: fw.members(masks[fw.index(a)]) for a in fw.arguments}
+    return {a: fw.members(masks[fw.arguments.index(a)]) for a in fw.arguments}
 
 
 def test_attackers_elma(elma):
@@ -137,7 +138,7 @@ def test_attackers_list_invisible_attackers(elma):
     # the masks belong to the framework: a2 stays listed as the attacker of
     # a3 at a state where a2 is invisible, and only the readers restrict it
     state = elma.state(["a3", "a4"])
-    attackers = elma.masks.attackers[elma.index("a3")]
+    attackers = elma.masks.attackers[elma.arguments.index("a3")]
     assert elma.members(attackers) == {"a2"}
     assert attackers & elma.mask(state.visible) == 0
     assert "a3" not in state.visible \
@@ -205,3 +206,32 @@ def test_framework_unpickles_with_this_process_hash(elma):
     twin = pickle.loads(proc.stdout)
     assert twin == elma and hash(twin) == hash(elma)
     assert {elma: 1}[twin] == 1
+
+
+def test_act_order_does_not_depend_on_the_hash_seed():
+    """`masks.acts` is the same under any string-hash seed, and it is the
+    order in which `print_framework` writes the acts."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import json; from apa.fileformat import print_framework; "
+        "from apa.oracle import RandomInstanceSpec, random_framework; "
+        "fw = random_framework(RandomInstanceSpec(10, 0.2, 6, 6, seed=3)); "
+        "print(json.dumps(fw.masks.acts)); print(print_framework(fw), end='')"
+    )
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                   PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    (out,) = outputs
+    acts, text = out.split("\n", 1)
+    written = [line for line in text.splitlines()
+               if line.startswith(("induce:", "convert:"))]
+    assert len(written) > 6
+    assert written == [
+        f"induce: {s} => {t}" if g is None else f"convert: {s} : {g} => {t}"
+        for s, g, t in json.loads(acts)
+    ]

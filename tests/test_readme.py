@@ -123,3 +123,20 @@ def test_every_public_definition_has_a_product_caller():
         and node.name not in used
     ]
     assert not unused, f"no caller outside the tests: {unused}"
+
+
+def test_process_wide_caches_are_the_benchmark_hooks_only():
+    """What a framework derives is kept on the framework and dies with it.
+    The only process-wide caches are the four `lru_cache`s whose
+    `cache_info()` the benchmark's tracer reads."""
+    cached = {
+        node.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and any(re.search(r"\b(lru_)?cache\b", ast.unparse(d))
+                for d in node.decorator_list)
+    }
+    assert cached == {
+        "successor_states", "is_admissible", "is_complete", "complete_sets",
+    }

@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from conftest import characteristic, literal_characteristic
 
 from apa import semantics
+from apa.dot import export_dot
 from apa.dynamics import ALL, reachable
 from apa.errors import TooLarge, UnknownName
 from apa.model import State, framework
@@ -138,6 +141,32 @@ def test_grounded_empty_state(elma):
     assert grounded_set(elma, State(frozenset())) == fs()
 
 
+def test_grounded_memo_dies_with_its_framework():
+    # the grounded set is kept on the framework, not in a process-wide
+    # cache that would keep the framework alive; no other test builds an
+    # equal framework, whose cache entry this one could hit instead
+    fw = framework(["w1", "w2"], [("w1", "w2")], initial=["w1", "w2"])
+    init = fw.initial_state
+    assert holds(fw, "gr", fs("w1"), init)
+    ref = weakref.ref(fw)
+    del fw, init
+    gc.collect()
+    assert ref() is None
+
+
+def test_unknown_label_rejected(elma):
+    init = elma.initial_state
+    calls = (
+        lambda: holds(elma, "xx", fs(), init),
+        lambda: extensions(elma, "xx", init),
+        lambda: export_dot(reachable(elma, ALL), "xx"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "unknown semantics label: 'xx'"
+
+
 def test_grounded_extension_unique(elma, oscillator):
     for fw in (elma, oscillator):
         for state in reachable(fw, ALL).states:
@@ -148,7 +177,7 @@ def test_eliminator_as_the_only_threat(elma):
     # a4 has no attacker; the convert act a3 : a4 => a5 is its one threat,
     # answered only by a2's attack on a3
     init = elma.initial_state
-    a4 = elma.index("a4")
+    a4 = elma.arguments.index("a4")
     assert not elma.masks.attackers[a4]
     assert elma.members(elma.masks.threats[a4]) == fs("a3")
     assert extensions(elma, "ad", init) == (fs(), fs("a2"), fs("a2", "a4"))
