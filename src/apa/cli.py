@@ -129,9 +129,13 @@ def cmd_states(fw, out, sigma, json, **bounds) -> int:
 
 
 def cmd_transitions(fw, out, sigma, json, **bounds) -> int:
-    """The edges as text, or as a JSON document written edge by edge; both
-    walk the LTS's tables, so neither keeps the edges. Each state's members
-    and each selector's label are formatted once, not once per edge."""
+    """The edges as text, or as a JSON document, written one source state
+    at a time; both walk the LTS's tables, so neither keeps the edges. Each
+    state's members and each selector's label are formatted once, not once
+    per edge."""
+    from itertools import groupby
+    from operator import itemgetter
+
     lts = _lts(fw, sigma, bounds)
     if json:
         members = {s: _json(fw.sort_args(s.visible)) for s in lts.states}
@@ -141,9 +145,11 @@ def cmd_transitions(fw, out, sigma, json, **bounds) -> int:
         ]
         out.write('{"edges": [')
         sep = ""
-        for src, sel, dst in lts.walk():
-            out.write(f'{sep}{{"from": {members[src]}, "refset": {refsets[sel]}, '
-                      f'"selector": {sel}, "to": {members[dst]}}}')
+        for src, edges in groupby(lts.walk(), itemgetter(0)):
+            out.write(sep + ", ".join(
+                f'{{"from": {members[src]}, "refset": {refsets[sel]}, '
+                f'"selector": {sel}, "to": {members[dst]}}}'
+                for _, sel, dst in edges))
             sep = ", "
         out.write("]}\n")
         return 0
@@ -152,8 +158,9 @@ def cmd_transitions(fw, out, sigma, json, **bounds) -> int:
     names = {s: fw.format_set(s.visible) for s in lts.states}
     labels = [f"#{sel} {selector_label(lts, sel)}"
               for sel in range(len(lts.family.effective))]
-    for src, sel, dst in lts.walk():
-        out.write(f"{names[src]} -[{labels[sel]}]-> {names[dst]}\n")
+    for src, edges in groupby(lts.walk(), itemgetter(0)):
+        out.write("".join(f"{names[src]} -[{labels[sel]}]-> {names[dst]}\n"
+                          for _, sel, dst in edges))
     return 0
 
 

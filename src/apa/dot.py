@@ -7,6 +7,9 @@ across runs: states, edges and attributes are emitted in canonical order.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
 from .dynamics import LTS
 
 
@@ -45,7 +48,8 @@ def export_dot(lts: LTS, annotate_extensions: str | None = None) -> str:
         lines.append(f'  {ids[state]} [{", ".join(attrs)}];')
     labels = [selector_label(lts, sel)
               for sel in range(len(lts.family.effective))]
-    for src, sel, dst in lts.walk():
-        lines.append(f'  {ids[src]} -> {ids[dst]} [label="{labels[sel]}"];')
+    for src, edges in groupby(lts.walk(), itemgetter(0)):
+        lines.append("\n".join(f'  {ids[src]} -> {ids[dst]} [label="{labels[sel]}"];'
+                               for _, sel, dst in edges))
     lines.append("}\n")
     return "\n".join(lines)

@@ -19,10 +19,12 @@ iterated from the empty set and kept per state in the framework's
 `grounded` table, which dies with the framework. F is monotone, so Dung's
 fundamental lemma carries over: a preferred set is a maximal complete set,
 and a stable set is an admissible set attacking every visible non-member.
-`holds` is the one definition of each label for a given set. The `ad` and
-`co` extensions are listed by a pruned search that labels the visible
-arguments IN or OUT (`_search`), not by testing every visible subset;
-`pr` and `st` are filtered from the complete sets through `holds`.
+`holds` is the one definition of each label for a given set. The `ad`,
+`co`, `pr` and `st` extensions are listed by one pruned search that labels
+the visible arguments IN or OUT (`_search`), not by testing every visible
+subset, and no listing goes through `holds`: the search cuts `pr`
+branches that cannot leave a preferred set already found, and keeps the
+complete leaves that attack every visible non-member for `st`.
 `max_args` bounds the visible arguments of a listing and of a `pr` test,
 since both search the complete sets; `gr` and the other membership tests
 are polynomial and unbounded.
@@ -107,21 +109,30 @@ def is_complete(fw: APAFramework, candidate: frozenset[str], state: State) -> bo
 
 
 def _search(
-    fw: APAFramework, state: State, max_args: int, complete: bool
+    fw: APAFramework, state: State, max_args: int, label: str
 ) -> tuple[frozenset[str], ...]:
-    """The admissible sets at `state` (with `complete`, the complete sets),
-    in canonical order: by size, then by declaration indices.
+    """The `label` extensions at `state` for `ad`, `co`, `pr` or `st`, in
+    canonical order: by size, then by declaration indices.
 
     A depth-first search labels the visible arguments IN or OUT in
     declaration order, on the framework's masks. An argument goes IN only
     if it clashes neither with itself nor with the IN set. A branch is cut
     when some threat to an IN member has no attacker left that is IN or
     undecided and clash-free with the IN set, since no labelling below it
-    can defend that member. With `complete`, a branch is also cut when
+    can defend that member. Every label but `ad` also cuts a branch when
     `_defended` finds an OUT argument that the IN set defends: F is
-    monotone, so every IN set below it defends that argument too. Each
-    leaf that survives is an admissible (complete) IN set.
+    monotone, so every IN set below it defends that argument too. The
+    leaves that survive are the admissible (complete) sets.
+
+    For `pr`, a branch is also cut when the IN set together with the
+    undecided arguments that do not clash with it lies inside a preferred
+    set already found. IN is taken before OUT, so every complete strict
+    superset of a leaf is reached before the leaf, and each leaf that
+    survives is a maximal complete set. For `st`, a complete leaf is kept
+    when it attacks every visible non-member: a stable set is complete.
     """
+    if label not in ("ad", "co", "pr", "st"):
+        raise ValueError(f"unknown semantics label: {label!r}")
     if len(state.visible) > max_args:
         raise TooLarge(
             f"{len(state.visible)} visible arguments exceed the enumeration "
@@ -135,12 +146,17 @@ def _search(
     stack = [(vis, 0, 0, 0, 0)]
     while stack:
         rest, inn, out, clashing, threatened = stack.pop()
-        if not _answered(victims, inn | rest & ~clashing, threatened):
+        reach = inn | rest & ~clashing
+        if not _answered(victims, reach, threatened):
             continue
-        if complete and _defended(masks, inn, vis, out):
+        if label != "ad" and _defended(masks, inn, vis, out):
+            continue
+        # the latest preferred set shares the longest prefix with this node
+        if label == "pr" and any(not reach & ~p for p in reversed(found)):
             continue
         if not rest:
-            found.append(inn)
+            if label != "st" or _answered(victims, inn, vis & ~inn):
+                found.append(inn)
             continue
         b = rest & -rest
         k = b.bit_length() - 1
@@ -159,7 +175,7 @@ def complete_sets(
     """All complete sets at `state`, in canonical order, from the pruned
     search over the visible arguments, of which there may be at most
     `max_args`."""
-    return _search(fw, state, max_args, complete=True)
+    return _search(fw, state, max_args, "co")
 
 
 def grounded_set(fw: APAFramework, state: State) -> frozenset[str]:
@@ -214,13 +230,4 @@ def extensions(
     the pruned search, bounded by `max_args`."""
     if label == "gr":
         return (grounded_set(fw, state),)
-    if label == "ad":
-        return _search(fw, state, max_args, complete=False)
-    if label == "co":
-        return complete_sets(fw, state, max_args)
-    if label in ("pr", "st"):  # st <= pr <= co
-        return tuple(
-            c for c in complete_sets(fw, state, max_args)
-            if holds(fw, label, c, state, max_args)
-        )
-    raise ValueError(f"unknown semantics label: {label!r}")
+    return _search(fw, state, max_args, label)

@@ -15,7 +15,7 @@ import pytest
 from apa.cli import main, parse_sigma_spec
 from apa.dynamics import SelectorFamily, reachable
 from apa.errors import ApaError
-from apa.fileformat import print_framework
+from apa.fileformat import parse_framework, print_framework
 from apa.oracle import RandomInstanceSpec, random_framework
 
 ELMA = """
@@ -766,3 +766,30 @@ def test_transitions_memory_stays_near_the_lts(json_flag, tmp_path):
         tracemalloc.stop()
     assert sink.digest.hexdigest() == warm.digest.hexdigest()
     assert peak < 1 << 20, peak
+
+
+class _CountingSink:
+    """A text stream that counts the writes it is given."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return len(text)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_transitions_write_once_per_source_state(json_flag, tmp_path):
+    # the fan above: 59,048 edges from 1,024 states; an unbuffered stdout
+    # turns each write into a system call, so edges are written in one
+    # chunk per source state, plus the JSON document's two ends
+    text = _wide(["s"], [f"t{i}" for i in range(10)],
+                 [f"induce: s => t{i}" for i in range(10)])
+    path = tmp_path / "fan.apa"
+    path.write_text(text)
+    sink = _CountingSink()
+    assert main(["transitions", str(path), *json_flag], out=sink) == 0
+    states = len(reachable(parse_framework(text)).states)
+    assert states == 1024
+    assert sink.writes <= states + 2, sink.writes

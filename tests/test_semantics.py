@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from itertools import product
 
 import pytest
 
@@ -159,6 +160,7 @@ def test_unknown_label_rejected(elma):
     calls = (
         lambda: holds(elma, "xx", fs(), init),
         lambda: extensions(elma, "xx", init),
+        lambda: extensions(elma, "xx", init, max_args=0),  # label first
         lambda: export_dot(reachable(elma, ALL), "xx"),
     )
     for call in calls:
@@ -306,6 +308,95 @@ def test_holds_agrees_with_extensions_on_random_instances():
             assert grounded_set(fw, state) == frozenset.intersection(*cos), (
                 seed, state,
             )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        lambda seed: RandomInstanceSpec(
+            n_args=2 + seed % 5, attack_density=0.35, n_induce=0, n_convert=0,
+            initial_density=0.7, seed=30000 + seed,
+        ),
+        lambda seed: RandomInstanceSpec(
+            n_args=2 + seed % 5, n_induce=2, n_convert=2, seed=40000 + seed,
+        ),
+    ],
+    ids=["c06", "c07"],
+)
+def test_every_listing_matches_the_bruteforce_reference(spec):
+    # the c06 and c07 sweep sizes (c03 is checked above): the search lists
+    # every label's extensions as the literal definitions do, order included
+    for seed in range(300):
+        fw = random_framework(spec(seed))
+        for state in reachable(fw, ALL).states:
+            for label in semantics.LABELS:
+                assert extensions(fw, label, state) == extensions_bruteforce(
+                    fw, label, state
+                ), (seed, state, label)
+
+
+def test_preferred_and_stable_on_mutual_attack_pairs():
+    # k mutual-attack pairs and one unattacked argument, all visible: each
+    # pair is IN/OUT, OUT/IN or both OUT in a complete set, and the
+    # preferred (and stable) sets take one argument of every pair; past the
+    # brute-force reference's range, so checked against the count and order
+    for k in range(1, 9):
+        args = ["u"] + [x for i in range(k) for x in (f"p{i}", f"q{i}")]
+        fw = framework(args, [(f"p{i}", f"q{i}") for i in range(k)]
+                       + [(f"q{i}", f"p{i}") for i in range(k)], (), args)
+        init = fw.initial_state
+        assert len(extensions(fw, "co", init)) == 3 ** k
+        one_per_pair = sorted(
+            (("u", *pick) for pick in product(*[(f"p{i}", f"q{i}")
+                                                 for i in range(k)])),
+            key=lambda picked: sorted(map(args.index, picked)),
+        )
+        expected = tuple(frozenset(picked) for picked in one_per_pair)
+        assert extensions(fw, "pr", init) == expected, k
+        assert extensions(fw, "st", init) == expected, k
+
+
+def test_preferred_are_maximal_complete_and_stable_attack_the_rest():
+    # symmetric attacks give many complete sets: the preferred ones are the
+    # maximal complete sets, and the stable ones the preferred sets that
+    # attack every visible non-member, read from the attack pairs
+    for seed in range(200):
+        rng = random.Random(seed)
+        args = [f"a{i}" for i in range(10 + seed % 7)]
+        attacks = set()
+        for i, x in enumerate(args):
+            for y in args[i + 1:]:
+                if rng.random() < 0.25:
+                    attacks |= {(x, y), (y, x)}
+        acts = [(rng.choice(args), rng.choice([None, *args]), rng.choice(args))
+                for _ in range(rng.randrange(3))]
+        fw = framework(args, attacks, acts,
+                       [a for a in args if rng.random() < 0.85])
+        init = fw.initial_state
+        co = extensions(fw, "co", init)
+        pr = extensions(fw, "pr", init)
+        assert pr == tuple(c for c in co if not any(c < d for d in co)), seed
+        assert extensions(fw, "st", init) == tuple(
+            p for p in pr
+            if all(any((m, other) in fw.attacks for m in p)
+                   for other in init.visible - p)
+        ), seed
+
+
+def test_no_listing_goes_through_a_membership_test(elma, monkeypatch):
+    # every label is listed by the search (or the grounded fixpoint), so
+    # the membership tests and their caches are never consulted
+    states = reachable(elma, ALL).states
+    before = {(label, s): extensions(elma, label, s)
+              for label in semantics.LABELS for s in states}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a listing called a membership test")
+
+    for name in ("holds", "is_admissible", "is_complete", "complete_sets"):
+        monkeypatch.setattr(semantics, name, refuse)
+    for (label, s), exts in before.items():
+        assert semantics.extensions(elma, label, s) == exts
 
 
 @pytest.mark.parametrize(
