@@ -17,10 +17,12 @@ import re
 from .errors import QuerySyntaxError
 from .model import NAME, APAFramework, validate
 
-#: Relation sections in `validate`'s order: line pattern, usage on mismatch.
+#: Relation sections: line pattern, usage on mismatch. An act's pattern has
+#: three groups, source, trigger and target; an induce's trigger group is
+#: empty.
 _RELATIONS = {
     "attack": (re.compile(rf"^({NAME})\s*->\s*({NAME})$"), "attack: x -> y"),
-    "induce": (re.compile(rf"^({NAME})\s*=>\s*({NAME})$"), "induce: s => t"),
+    "induce": (re.compile(rf"^({NAME})()\s*=>\s*({NAME})$"), "induce: s => t"),
     "convert": (
         re.compile(rf"^({NAME})\s*:\s*({NAME})\s*=>\s*({NAME})$"),
         "convert: s : g => t",
@@ -32,7 +34,9 @@ def parse_framework(text: str) -> APAFramework:
     """Parse and validate a framework file."""
     arguments: list[tuple[str, int]] = []
     initial: list[tuple[str, int]] = []
-    relations: dict[str, list[tuple]] = {section: [] for section in _RELATIONS}
+    attacks: list[tuple[str, str, int]] = []
+    # induces and converts in file order, as `validate` reads them
+    acts: list[tuple[str, str | None, str, int]] = []
 
     # lines end at "\n", as in the query tokenizer; `strip` drops a "\r"
     # before it
@@ -60,11 +64,14 @@ def parse_framework(text: str) -> APAFramework:
             m = pattern.match(rest)
             if not m:
                 raise QuerySyntaxError(f"expected '{usage}'", lineno, 1)
-            relations[section].append((*m.groups(), lineno))
+            # an induce's empty trigger group becomes None
+            (attacks if section == "attack" else acts).append(
+                (*[g or None for g in m.groups()], lineno)
+            )
         else:
             raise QuerySyntaxError(f"unknown section {section!r}", lineno, 1)
 
-    return validate(arguments, initial, *relations.values())
+    return validate(arguments, initial, attacks, acts)
 
 
 def print_framework(fw: APAFramework) -> str:

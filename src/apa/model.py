@@ -226,14 +226,15 @@ def validate(
     arguments: Iterable[tuple[str, int | None]],
     initial: Iterable[tuple[str, int | None]],
     attacks: Iterable[tuple[str, str, int | None]],
-    induces: Iterable[tuple[str, str, int | None]],
-    converts: Iterable[tuple[str, str, str, int | None]],
+    acts: Iterable[tuple[str, str | None, str, int | None]],
 ) -> APAFramework:
     """Validate a framework description and build the immutable framework.
 
+    Each act is one record `(source, trigger, target, line)`, a
+    `PersuasionAct` with its line, whose trigger is None for an induce.
     Every entry carries an optional source line for diagnostics. All
-    violations are collected; on any violation a ValidationError listing
-    every one of them is raised.
+    violations are collected, in the order of the entries; on any
+    violation a ValidationError listing every one of them is raised.
     """
     issues: list[ValidationIssue] = []
     order: list[str] = []
@@ -265,21 +266,19 @@ def validate(
         if known(src, line) & known(tgt, line):
             atk.add((src, tgt))
 
-    acts: set[PersuasionAct] = set()
-    for src, tgt, line in induces:
-        if known(src, line) & known(tgt, line):
-            acts.add(PersuasionAct(src, None, tgt))
-    for src, trig, tgt, line in converts:
-        ok = known(src, line) & known(trig, line) & known(tgt, line)
-        if ok:
-            acts.add(PersuasionAct(src, trig, tgt))
+    persuasions: set[PersuasionAct] = set()
+    for src, trig, tgt, line in acts:
+        named = (src, tgt) if trig is None else (src, trig, tgt)
+        # a list, not a generator, so that every name is checked
+        if all([known(a, line) for a in named]):
+            persuasions.add(PersuasionAct(src, trig, tgt))
 
     if issues:
         raise ValidationError(issues)
     return APAFramework(
         arguments=tuple(order),
         attacks=frozenset(atk),
-        persuasions=frozenset(acts),
+        persuasions=frozenset(persuasions),
         initial=frozenset(init),
     )
 
@@ -292,17 +291,9 @@ def framework(
 ) -> APAFramework:
     """Programmatic constructor; accepts acts as PersuasionAct or as
     (source, trigger, target) triples with trigger None for induce."""
-    induces = []
-    converts = []
-    for src, trig, tgt in persuasions:
-        if trig is None:
-            induces.append((src, tgt, None))
-        else:
-            converts.append((src, trig, tgt, None))
     return validate(
         [(a, None) for a in arguments],
         [(a, None) for a in initial],
         [(s, t, None) for (s, t) in attacks],
-        induces,
-        converts,
+        [(s, g, t, None) for (s, g, t) in persuasions],
     )

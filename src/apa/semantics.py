@@ -24,7 +24,10 @@ and a stable set is an admissible set attacking every visible non-member.
 the visible arguments IN or OUT (`_search`), not by testing every visible
 subset, and no listing goes through `holds`: the search cuts `pr`
 branches that cannot leave a preferred set already found, and keeps the
-complete leaves that attack every visible non-member for `st`.
+complete leaves that attack every visible non-member for `st`. For `pr`
+it decides first a maximal conflict-free set, so that the cut fires
+without waiting for both sides of each conflict to be decided, whatever
+the declaration order.
 `max_args` bounds the visible arguments of a listing and of a `pr` test,
 since both search the complete sets; `gr` and the other membership tests
 are polynomial and unbounded.
@@ -115,21 +118,29 @@ def _search(
     canonical order: by size, then by declaration indices.
 
     A depth-first search labels the visible arguments IN or OUT in
-    declaration order, on the framework's masks. An argument goes IN only
-    if it clashes neither with itself nor with the IN set. A branch is cut
-    when some threat to an IN member has no attacker left that is IN or
-    undecided and clash-free with the IN set, since no labelling below it
-    can defend that member. Every label but `ad` also cuts a branch when
-    `_defended` finds an OUT argument that the IN set defends: F is
-    monotone, so every IN set below it defends that argument too. The
-    leaves that survive are the admissible (complete) sets.
+    declaration order (for `pr`, see below), on the framework's masks. An
+    argument goes IN only if it clashes neither with itself nor with the
+    IN set. A branch is cut when some threat to an IN member has no
+    attacker left that is IN or undecided and clash-free with the IN set,
+    since no labelling below it can defend that member. Every label but
+    `ad` also cuts a branch when `_defended` finds an OUT argument that
+    the IN set defends: F is monotone, so every IN set below it defends
+    that argument too. The leaves that survive are the admissible
+    (complete) sets.
 
     For `pr`, a branch is also cut when the IN set together with the
     undecided arguments that do not clash with it lies inside a preferred
     set already found. IN is taken before OUT, so every complete strict
     superset of a leaf is reached before the leaf, and each leaf that
-    survives is a maximal complete set. For `st`, a complete leaf is kept
-    when it attacks every visible non-member: a stable set is complete.
+    survives is a maximal complete set: a leaf and a strict superset part
+    where the superset goes IN, whatever order brought them there. That
+    cut cannot fire while both sides of a conflict are undecided, so `pr`
+    decides first a maximal conflict-free set of the visible arguments,
+    taken greedily in declaration order, then the rest in declaration
+    order. The other labels have no such cut and keep declaration order,
+    which the greedy set would slow on mutual-attack pairs declared pair
+    by pair. For `st`, a complete leaf is kept when it attacks every
+    visible non-member: a stable set is complete.
     """
     if label not in ("ad", "co", "pr", "st"):
         raise ValueError(f"unknown semantics label: {label!r}")
@@ -141,6 +152,14 @@ def _search(
     masks = fw.masks
     victims, threats, clash = masks.victims, masks.threats, masks.clash
     vis = fw.mask(state.visible)
+    # the arguments decided before the others: for `pr`, a maximal
+    # conflict-free set, so that its cut fires early
+    first = vis
+    if label == "pr":
+        first = 0
+        for k in bit_positions(vis):
+            if not clash[k] & (first | 1 << k):
+                first |= 1 << k
     found = []
     # (undecided, IN, OUT, arguments clashing with IN, threats to IN)
     stack = [(vis, 0, 0, 0, 0)]
@@ -158,7 +177,8 @@ def _search(
             if label != "st" or _answered(victims, inn, vis & ~inn):
                 found.append(inn)
             continue
-        b = rest & -rest
+        pick = rest & first or rest
+        b = pick & -pick
         k = b.bit_length() - 1
         stack.append((rest ^ b, inn, out | b, clashing, threatened))
         if not clash[k] & (inn | b):

@@ -773,6 +773,27 @@ def test_records_refuse_assignment(record, field):
         setattr(record, field, Bottom())
     with pytest.raises(AttributeError):
         record.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is not None
+
+
+def test_nodes_take_exactly_their_fields():
+    with pytest.raises(TypeError, match="^Not takes 1 fields, got 0$"):
+        Not()
+    with pytest.raises(TypeError, match="^Visible takes 1 fields, got 2$"):
+        Visible("a", "b")
+    with pytest.raises(TypeError, match="^Until takes 4 fields, got 3$"):
+        Until("E", None, Top())
+
+
+def test_labeling_rejects_a_node_class_it_does_not_know(elma):
+    class Odd(ctl.Formula):
+        __slots__ = ()
+
+    for formula in (Odd(), Not(Odd())):
+        with pytest.raises(TypeError, match=r"^not a formula node: Odd\(\)$"):
+            ctl.Labeling(elma, Query(sets=(), formula=formula))
 
 
 def test_queries_survive_copy_and_pickle():

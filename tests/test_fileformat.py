@@ -46,6 +46,18 @@ def test_parse_bad_section():
     assert excinfo.value.line == 2
 
 
+def test_validation_issues_list_in_file_order():
+    """Induces and converts are one record, so an undeclared name on a
+    `convert:` line is reported before one on a later `induce:` line."""
+    with pytest.raises(ValidationError) as excinfo:
+        parse_framework("arguments: a1 a2\ninitial: a1\n"
+                        "convert: a1 : zz => a2\ninduce: yy => a2\n")
+    assert [str(issue) for issue in excinfo.value.issues] == [
+        "UndeclaredArgument: zz (line 3)",
+        "UndeclaredArgument: yy (line 4)",
+    ]
+
+
 def test_parse_breaks_lines_only_at_newline(elma):
     """A U+2028 in a comment or a form feed at the end of a line neither
     starts a line nor shifts the line count; "\r\n" text parses too."""

@@ -192,7 +192,7 @@ def test_frameworks_compare_by_value(elma):
 
 def test_framework_unpickles_with_this_process_hash(elma):
     """A framework pickled under another string-hash seed hashes, once
-    loaded, as an equal framework built here."""
+    loaded, as an equal framework built here, and pickles back here."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="1")
     proc = subprocess.run(
@@ -206,6 +206,8 @@ def test_framework_unpickles_with_this_process_hash(elma):
     twin = pickle.loads(proc.stdout)
     assert twin == elma and hash(twin) == hash(elma)
     assert {elma: 1}[twin] == 1
+    again = pickle.loads(pickle.dumps(twin))
+    assert again == elma and hash(again) == hash(elma)
 
 
 def test_act_order_does_not_depend_on_the_hash_seed():
