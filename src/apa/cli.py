@@ -26,7 +26,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import ApaError, UnknownName
+from .errors import ApaError
 
 if TYPE_CHECKING:
     from .dynamics import SelectorFamily
@@ -47,7 +47,7 @@ def parse_sigma_spec(spec: str) -> SelectorFamily:
             "literals like '{a1,a2},{}'"
         )
     refsets = [
-        frozenset(t for t in body.replace(",", " ").split() if t)
+        frozenset(body.replace(",", " ").split())
         for body in re.findall(_SIGMA_SET, spec)
     ]
     if not refsets:
@@ -62,7 +62,7 @@ def _lts(fw: APAFramework, sigma: str, bounds):
     from . import dynamics
 
     family = parse_sigma_spec(sigma)
-    unknown = set().union(*family.effective) - set(fw.arguments)
+    unknown = set().union(*family.effective).difference(fw.masks.bit)
     if unknown:
         raise ApaError(
             f"unknown arguments in --sigma: {', '.join(sorted(unknown))}"
@@ -167,14 +167,12 @@ def cmd_transitions(fw, out, sigma, json, **bounds) -> int:
 def cmd_semantics(fw, out, state, which, json, **bounds) -> int:
     from . import semantics
 
-    members = [t for t in state.replace(",", " ").split() if t]
-    try:
-        at = fw.state(members)
-    except UnknownName as exc:  # listed as typed
-        unknown = [t for t in members if t in exc.names]
-        raise ApaError(
-            f"unknown arguments in --state: {', '.join(unknown)}"
-        ) from None
+    members = state.replace(",", " ").split()
+    # listed as typed, each once
+    unknown = [t for t in dict.fromkeys(members) if t not in fw.masks.bit]
+    if unknown:
+        raise ApaError(f"unknown arguments in --state: {', '.join(unknown)}")
+    at = fw.state(members)
     doc = {
         "label": which,
         "state": fw.sort_args(at.visible),

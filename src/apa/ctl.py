@@ -428,7 +428,7 @@ class _Parser:
 
     def parse_label(self) -> str:
         if self.text not in SEMANTICS_LABELS:
-            self.error("expected one of ad, co, pr, st, gr")
+            self.error(f"expected one of {', '.join(semantics.LABELS)}")
         return self.take()
 
 
@@ -484,9 +484,9 @@ def _resolve_names(
 ) -> dict[str, frozenset[str]]:
     """The query's bindings, once every set member and every argument
     operand of the subformulas in `order` is checked against `fw`."""
-    declared = set(fw.arguments)
+    declared = fw.masks.bit
     for name, members in query.sets:
-        unknown = sorted(members - declared)
+        unknown = sorted(members.difference(declared))
         if unknown:
             shown = (
                 "literal " + _print_literal(members)

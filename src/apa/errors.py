@@ -64,11 +64,9 @@ class QuerySyntaxError(ApaError):
 
 class UnknownName(ApaError):
     """A query token or state member does not resolve to a declared
-    argument or set; `names` holds the unresolved tokens when known."""
-
-    def __init__(self, message: str, names: tuple[str, ...] = ()):
-        self.names = names
-        super().__init__(message)
+    argument or set; the message names the unresolved tokens. The CLI
+    checks its own `--sigma` and `--state` names and words those errors
+    itself."""
 
 
 class UnknownSelector(ApaError):

@@ -4,10 +4,12 @@ Arguments are plain string ids matching `NAME`; a framework fixes their
 declaration order, which every set-valued output in the package is sorted
 by. A state is a value object identified solely by its visible set. A
 framework derives its relations once, as bit masks over the declaration
-order (`masks`). `masks.bit` is the one name -> position table; `mask` and
-`members` are the one encoder and decoder of argument sets, and
-successors, extensions and membership tests read them. `masks.acts` is
-the one act order, the order in which a framework file lists the acts.
+order (`masks`). `masks.bit` is the one name -> position table: every
+"is it declared?" check in the package, the CLI's and the query
+checker's included, reads it. `mask` and `members` are the one encoder
+and decoder of argument sets, and successors, extensions and membership
+tests read them. `masks.acts` is the one act order, the order in which a
+framework file lists the acts.
 Each state is decoded once per framework: `state_of` keeps the `State` it
 built for every visible mask and hands the same object back afterwards,
 and `state` returns that object too. The tables the other layers derive
@@ -151,10 +153,8 @@ class APAFramework:
         visible = frozenset(visible)
         bit = self.masks.bit
         if not visible <= bit.keys():
-            unknown = tuple(sorted(visible - bit.keys()))
-            raise UnknownName(
-                f"undeclared arguments in state: {', '.join(unknown)}", unknown
-            )
+            unknown = ", ".join(sorted(visible - bit.keys()))
+            raise UnknownName(f"undeclared arguments in state: {unknown}")
         return self.state_of(self.mask(visible))
 
     @property
@@ -233,21 +233,20 @@ def validate(
     Each act is one record `(source, trigger, target, line)`, a
     `PersuasionAct` with its line, whose trigger is None for an induce.
     Every entry carries an optional source line for diagnostics. All
-    violations are collected, in the order of the entries; on any
-    violation a ValidationError listing every one of them is raised.
+    violations are collected; on any violation a ValidationError listing
+    every one of them is raised, by line, and in the order of the entries
+    among equal lines.
     """
     issues: list[ValidationIssue] = []
-    order: list[str] = []
-    seen: set[str] = set()
+    seen: dict[str, None] = {}  # the declared names, in declaration order
     for tok, line in arguments:
         if not (isinstance(tok, str) and re.fullmatch(NAME, tok)):
             issues.append(BadArgumentName(tok, line))
         elif tok in seen:
             issues.append(DuplicateArgument(tok, line))
         else:
-            seen.add(tok)
-            order.append(tok)
-    if not order and not issues:
+            seen[tok] = None
+    if not seen and not issues:
         issues.append(UndeclaredArgument("<no arguments declared>", None))
 
     def known(tok: str, line: int | None, issue=UndeclaredArgument) -> bool:
@@ -274,9 +273,10 @@ def validate(
             persuasions.add(PersuasionAct(src, trig, tgt))
 
     if issues:
-        raise ValidationError(issues)
+        # stable, so entries without a line keep their order
+        raise ValidationError(sorted(issues, key=lambda i: i.line or 0))
     return APAFramework(
-        arguments=tuple(order),
+        arguments=tuple(seen),
         attacks=frozenset(atk),
         persuasions=frozenset(persuasions),
         initial=frozenset(init),

@@ -135,6 +135,11 @@ def test_semantics_unknown_argument(elma_file):
     )
     assert code == 1 and out == ""
     assert err == "error: unknown arguments in --state: zz2, zz\n"  # as typed
+    code, out, err = run(
+        ["semantics", elma_file, "--state", "a2,a2,zz,zz,yy", "--which", "ad"]
+    )
+    assert code == 1 and out == ""
+    assert err == "error: unknown arguments in --state: zz, yy\n"  # each once
 
 
 def test_check_true(elma_file, tmp_path):

@@ -6,7 +6,7 @@ from apa.dot import export_dot
 from apa.dynamics import ALL, SelectorFamily, reachable
 from apa.errors import ApaError, QuerySyntaxError, ValidationError
 from apa.fileformat import parse_framework, print_framework
-from apa.model import PersuasionAct
+from apa.model import PersuasionAct, framework
 from apa.oracle import RandomInstanceSpec, random_framework
 
 ELMA_FILE = """
@@ -47,14 +47,32 @@ def test_parse_bad_section():
 
 
 def test_validation_issues_list_in_file_order():
-    """Induces and converts are one record, so an undeclared name on a
-    `convert:` line is reported before one on a later `induce:` line."""
+    """Issues are listed by line, whatever their sections: an undeclared
+    name on a `convert:` line is reported before one on a later `induce:`
+    line, and an `initial:` line after the relations comes last."""
     with pytest.raises(ValidationError) as excinfo:
         parse_framework("arguments: a1 a2\ninitial: a1\n"
                         "convert: a1 : zz => a2\ninduce: yy => a2\n")
     assert [str(issue) for issue in excinfo.value.issues] == [
         "UndeclaredArgument: zz (line 3)",
         "UndeclaredArgument: yy (line 4)",
+    ]
+    # sections interleaved: every issue is listed by line
+    with pytest.raises(ValidationError) as excinfo:
+        parse_framework("arguments: a b\nconvert: a : zz => b\n"
+                        "attack: yy -> a\ninitial: xx\n")
+    assert [str(issue) for issue in excinfo.value.issues] == [
+        "UndeclaredArgument: zz (line 2)",
+        "UndeclaredArgument: yy (line 3)",
+        "BadInitial: xx (line 4)",
+    ]
+    # entries without a line keep their order
+    with pytest.raises(ValidationError) as excinfo:
+        framework(["a", "a"], attacks=[("a", "zz")], initial=["yy"])
+    assert [str(issue) for issue in excinfo.value.issues] == [
+        "DuplicateArgument: a",
+        "BadInitial: yy",
+        "UndeclaredArgument: zz",
     ]
 
 
