@@ -62,12 +62,17 @@ def _lts(fw: APAFramework, sigma: str, bounds):
     from . import dynamics
 
     family = parse_sigma_spec(sigma)
-    unknown = set().union(*family.effective).difference(fw.masks.bit)
-    if unknown:
-        raise ApaError(
-            f"unknown arguments in --sigma: {', '.join(sorted(unknown))}"
-        )
+    bodies = " ".join(re.findall(_SIGMA_SET, sigma))
+    _known(fw, "--sigma", bodies.replace(",", " ").split())
     return dynamics.reachable(fw, family, **bounds)
+
+
+def _known(fw: APAFramework, option: str, names) -> None:
+    """Reject the `option` names that `fw` does not declare, listed as
+    typed, each once."""
+    unknown = [n for n in dict.fromkeys(names) if n not in fw.masks.bit]
+    if unknown:
+        raise ApaError(f"unknown arguments in {option}: {', '.join(unknown)}")
 
 
 def _read(path: str) -> str:
@@ -133,9 +138,6 @@ def cmd_transitions(fw, out, sigma, json, **bounds) -> int:
     at a time; both walk the LTS's tables, so neither keeps the edges. Each
     state's members and each selector's label are formatted once, not once
     per edge."""
-    from itertools import groupby
-    from operator import itemgetter
-
     lts = _lts(fw, sigma, bounds)
     if json:
         members = {s: _json(fw.sort_args(s.visible)) for s in lts.states}
@@ -145,11 +147,11 @@ def cmd_transitions(fw, out, sigma, json, **bounds) -> int:
         ]
         out.write('{"edges": [')
         sep = ""
-        for src, edges in groupby(lts.walk(), itemgetter(0)):
+        for src, edges in lts.walk():
             out.write(sep + ", ".join(
                 f'{{"from": {members[src]}, "refset": {refsets[sel]}, '
                 f'"selector": {sel}, "to": {members[dst]}}}'
-                for _, sel, dst in edges))
+                for sel, dst in edges))
             sep = ", "
         out.write("]}\n")
         return 0
@@ -158,9 +160,9 @@ def cmd_transitions(fw, out, sigma, json, **bounds) -> int:
     names = {s: fw.format_set(s.visible) for s in lts.states}
     labels = [f"#{sel} {selector_label(lts, sel)}"
               for sel in range(len(lts.family.effective))]
-    for src, edges in groupby(lts.walk(), itemgetter(0)):
+    for src, edges in lts.walk():
         out.write("".join(f"{names[src]} -[{labels[sel]}]-> {names[dst]}\n"
-                          for _, sel, dst in edges))
+                          for sel, dst in edges))
     return 0
 
 
@@ -168,10 +170,7 @@ def cmd_semantics(fw, out, state, which, json, **bounds) -> int:
     from . import semantics
 
     members = state.replace(",", " ").split()
-    # listed as typed, each once
-    unknown = [t for t in dict.fromkeys(members) if t not in fw.masks.bit]
-    if unknown:
-        raise ApaError(f"unknown arguments in --state: {', '.join(unknown)}")
+    _known(fw, "--state", members)
     at = fw.state(members)
     doc = {
         "label": which,
@@ -206,7 +205,7 @@ def cmd_check(fw, out, query, json, **bounds) -> int:
 def cmd_dot(fw, out, sigma, annotate, **bounds) -> int:
     from . import dot
 
-    out.write(dot.export_dot(_lts(fw, sigma, bounds), annotate))
+    dot.export_dot(_lts(fw, sigma, bounds), out, annotate)
     return 0
 
 

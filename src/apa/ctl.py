@@ -59,10 +59,11 @@ class Formula:
     when they are of the same class and their fields are equal, so
     `And(p, q) != Or(p, q)`. A node's hash is computed once, when it is
     built, from its class name and its fields, whose own hashes are cached
-    already: hashing costs the same at any depth.
+    already: hashing costs the same at any depth. So is its `height`, the
+    number of nodes on its longest path down to an atom.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "height")
 
     def __init__(self, *values):
         names = self.__slots__
@@ -74,6 +75,8 @@ class Formula:
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_hash", hash((type(self).__name__, *values)))
+        object.__setattr__(self, "height", 1 + max(
+            (v.height for v in values if isinstance(v, Formula)), default=0))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -293,7 +296,7 @@ class _Parser:
         formula = self.parse_formula()
         if self.text:
             self.error(f"trailing input {self.text!r}")
-        if _height(formula) > MAX_NESTING:
+        if formula.height > MAX_NESTING:
             self.error(f"formula nested more than {MAX_NESTING} levels deep")
         return Query(
             sets=tuple(sorted(self.sets.items())),
@@ -441,17 +444,6 @@ def _children(node: Formula) -> list[Formula]:
     """The direct subformulas of `node`, left to right."""
     children = (getattr(node, a, None) for a in ("sub", "left", "right"))
     return [child for child in children if isinstance(child, Formula)]
-
-
-def _height(node: Formula) -> int:
-    """Height of a formula tree, measured without recursion."""
-    height = 0
-    stack = [(node, 1)]
-    while stack:
-        node, depth = stack.pop()
-        height = max(height, depth)
-        stack.extend((child, depth + 1) for child in _children(node))
-    return height
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,11 @@
 One node per state labeled with its visible set, one edge per (selector,
 successor), deadlock states double-circled. Output is byte-identical
 across runs: states, edges and attributes are emitted in canonical order.
+The text is written as it is made, the nodes in one write and then the
+edges of one source state per write, so it is never held whole.
 """
 
 from __future__ import annotations
-
-from itertools import groupby
-from operator import itemgetter
 
 from .dynamics import LTS
 
@@ -20,13 +19,14 @@ def selector_label(lts: LTS, selector: int) -> str:
     return lts.framework.format_set(lts.family.effective[selector])
 
 
-def export_dot(lts: LTS, annotate_extensions: str | None = None) -> str:
-    """Render `lts` as DOT text.
+def export_dot(lts: LTS, out, annotate_extensions: str | None = None) -> None:
+    """Write `lts` as DOT text to the text stream `out`.
 
     When `annotate_extensions` names a semantics label, each node also
     lists that label's extensions at the state (a search bounded by the
     default `--max-args`; only use at desk scale). Only then does it load
-    `semantics`, whose `extensions` rejects an unknown label.
+    `semantics`, whose `extensions` rejects an unknown label. Every node
+    is rendered before the first write, so an error there writes nothing.
     """
     if annotate_extensions is not None:
         from . import semantics
@@ -46,10 +46,10 @@ def export_dot(lts: LTS, annotate_extensions: str | None = None) -> str:
         if state in lts.deadlocks:
             attrs.append("peripheries=2")
         lines.append(f'  {ids[state]} [{", ".join(attrs)}];')
+    out.write("\n".join(lines) + "\n")
     labels = [selector_label(lts, sel)
               for sel in range(len(lts.family.effective))]
-    for src, edges in groupby(lts.walk(), itemgetter(0)):
-        lines.append("\n".join(f'  {ids[src]} -> {ids[dst]} [label="{labels[sel]}"];'
-                               for _, sel, dst in edges))
-    lines.append("}\n")
-    return "\n".join(lines)
+    for src, edges in lts.walk():
+        out.write("".join(f'  {ids[src]} -> {ids[dst]} [label="{labels[sel]}"];\n'
+                          for sel, dst in edges))
+    out.write("}\n")

@@ -71,8 +71,9 @@ class LTS:
 
     The transition relation is stored once: `tables[i]` maps every state
     to the set `successor_states` gave for it under selector `i`. `walk()`
-    reads the edges off the tables in canonical order, and every output
-    iterates it; `edges` keeps that walk as a tuple for library callers,
+    reads the edges off the tables in canonical order, grouped by source
+    state, and every output writes one source's group at a time; `edges`
+    keeps that walk flattened into a tuple of triples for library callers,
     and `edges` and `deadlocks` are derived on first use. Immutable by
     convention.
     """
@@ -91,19 +92,22 @@ class LTS:
         self.initial = initial
         self.tables = tables
 
-    def walk(self) -> Iterator[tuple[State, int, State]]:
-        """(source, selector index, target) triples, one at a time: sources
-        and targets in `states` order, selectors in index order."""
+    def walk(self) -> Iterator[tuple[State, list[tuple[int, State]]]]:
+        """Each source state that has an edge, with its (selector index,
+        target) pairs, one source at a time: sources and targets in
+        `states` order, selectors in index order."""
         position = {s: i for i, s in enumerate(self.states)}
         for s in self.states:
-            for i, table in enumerate(self.tables):
-                for t in sorted(table[s], key=position.__getitem__):
-                    yield s, i, t
+            edges = [(i, t) for i, table in enumerate(self.tables)
+                     for t in sorted(table[s], key=position.__getitem__)]
+            if edges:
+                yield s, edges
 
     @functools.cached_property
     def edges(self) -> tuple[tuple[State, int, State], ...]:
-        """The triples of `walk()`, kept."""
-        return tuple(self.walk())
+        """The edges of `walk()` as (source, selector index, target)
+        triples, kept."""
+        return tuple((s, i, t) for s, edges in self.walk() for i, t in edges)
 
     @functools.cached_property
     def deadlocks(self) -> frozenset[State]:

@@ -473,6 +473,18 @@ def test_sigma_unknown_argument(command, elma_file):
     assert err == "error: unknown arguments in --sigma: zz\n"
 
 
+def test_unknown_names_listed_as_typed_each_once(tmp_path):
+    path = tmp_path / "ab.apa"
+    path.write_text("arguments: a b\n")
+    code, out, err = run(["states", str(path), "--sigma", "{zz,b},{aa},{zz}"])
+    assert (code, out) == (1, "")
+    assert err == "error: unknown arguments in --sigma: zz, aa\n"
+    code, out, err = run(["semantics", str(path), "--state", "zz,aa,b,zz",
+                          "--which", "gr"])
+    assert (code, out) == (1, "")
+    assert err == "error: unknown arguments in --state: zz, aa\n"
+
+
 @pytest.fixture
 def wide_file(tmp_path):
     """25 visible arguments, no attacks and no acts: one state, more
@@ -496,6 +508,13 @@ def test_grounded_is_not_bounded_by_max_args(wide_file, tmp_path):
 def test_admissible_listing_still_bounded(wide_file):
     names = ",".join(f"a{i}" for i in range(25))
     code, out, err = run(["semantics", wide_file, "--state", names, "--which", "ad"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "bound of 20" in err
+
+
+def test_dot_annotation_error_writes_nothing(wide_file):
+    # every node is rendered before the first write
+    code, out, err = run(["dot", wide_file, "--annotate", "ad"])
     assert code == 1 and out == ""
     assert err.startswith("error:") and "bound of 20" in err
 
@@ -751,15 +770,17 @@ def test_no_output_command_keeps_the_edges(argv, elma_file, monkeypatch):
     assert "edges" not in vars(lts)
 
 
-@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
-def test_transitions_memory_stays_near_the_lts(json_flag, tmp_path):
-    # ten induces from one source: 1,024 states and 59,048 edges; with the
-    # edges kept as a tuple, either form peaked at 4.3 MB, walking the
-    # tables at 0.25 MB
+def _fan(tmp_path):
+    """Ten induces from one source: 1,024 states and 59,048 edges."""
     path = tmp_path / "fan.apa"
     path.write_text(_wide(["s"], [f"t{i}" for i in range(10)],
                           [f"induce: s => t{i}" for i in range(10)]))
-    argv = ["transitions", str(path), *json_flag]
+    return str(path)
+
+
+def _peak(argv):
+    """The tracemalloc peak of `main(argv)`, run once the process-wide
+    caches are filled, after checking that it writes the same bytes."""
     warm = _HashingSink()
     assert main(argv, out=warm) == 0  # fills the process-wide caches
     sink = _HashingSink()
@@ -770,6 +791,21 @@ def test_transitions_memory_stays_near_the_lts(json_flag, tmp_path):
     finally:
         tracemalloc.stop()
     assert sink.digest.hexdigest() == warm.digest.hexdigest()
+    return peak
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_transitions_memory_stays_near_the_lts(json_flag, tmp_path):
+    # the fan: with the edges kept as a tuple, either form peaked at
+    # 4.3 MB, walking the tables at 0.25 MB
+    peak = _peak(["transitions", _fan(tmp_path), *json_flag])
+    assert peak < 1 << 20, peak
+
+
+def test_dot_memory_stays_near_the_lts(tmp_path):
+    # the fan: with the text held and joined whole, 3.6 MB; written one
+    # source state at a time, 0.4 MB
+    peak = _peak(["dot", _fan(tmp_path)])
     assert peak < 1 << 20, peak
 
 
@@ -784,17 +820,27 @@ class _CountingSink:
         return len(text)
 
 
+def _writes(argv):
+    """The number of writes `main(argv)` makes, checked to be at most one
+    per state of the fan plus two."""
+    sink = _CountingSink()
+    assert main(argv, out=sink) == 0
+    lts = reachable(parse_framework(Path(argv[1]).read_text()))
+    assert len(lts.states) == 1024
+    assert sink.writes <= len(lts.states) + 2, sink.writes
+    return sink.writes
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 def test_transitions_write_once_per_source_state(json_flag, tmp_path):
-    # the fan above: 59,048 edges from 1,024 states; an unbuffered stdout
-    # turns each write into a system call, so edges are written in one
-    # chunk per source state, plus the JSON document's two ends
-    text = _wide(["s"], [f"t{i}" for i in range(10)],
-                 [f"induce: s => t{i}" for i in range(10)])
-    path = tmp_path / "fan.apa"
-    path.write_text(text)
-    sink = _CountingSink()
-    assert main(["transitions", str(path), *json_flag], out=sink) == 0
-    states = len(reachable(parse_framework(text)).states)
-    assert states == 1024
-    assert sink.writes <= states + 2, sink.writes
+    # the fan: an unbuffered stdout turns each write into a system call,
+    # so edges are written in one chunk per source state, plus the JSON
+    # document's two ends
+    _writes(["transitions", _fan(tmp_path), *json_flag])
+
+
+def test_dot_writes_once_per_source_state(tmp_path):
+    # the fan: the nodes in one write, one per source state (an induce
+    # whose target is visible leaves a state as it was, so each has an
+    # edge) and the closing brace
+    assert _writes(["dot", _fan(tmp_path)]) == 1 + 1024 + 1

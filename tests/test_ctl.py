@@ -192,6 +192,16 @@ def test_nesting_bound_admits_its_limit():
     check(framework(["a"]), query)
 
 
+@pytest.mark.parametrize("op, column", [("&", 714), ("|", 714), ("->", 814)])
+def test_binary_chain_bound_admits_its_limit(op, column):
+    # a chain of n atoms is n nodes deep, whichever way it associates
+    chain = f" {op} ".join(["true"] * ctl.MAX_NESTING)
+    assert parse_query(f"formula: {chain}").formula.height == ctl.MAX_NESTING
+    with pytest.raises(QuerySyntaxError, match="nested more than") as excinfo:
+        parse_query(f"formula: {chain} {op} true")
+    assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+
 def test_unknown_set_name():
     with pytest.raises(UnknownName):
         parse_query("formula: in(a, Missing)")

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from conftest import mutants
@@ -141,34 +143,41 @@ def test_print_is_canonical(elma):
 # -- DOT ---------------------------------------------------------------------
 
 
+def export(lts, annotate=None):
+    """The text `export_dot` writes; it returns nothing."""
+    out = io.StringIO()
+    assert export_dot(lts, out, annotate) is None
+    return out.getvalue()
+
+
 def test_dot_elma(elma):
     lts = reachable(elma, ALL)
-    dot = export_dot(lts)
+    dot = export(lts)
     assert dot.count("->") == 1  # one edge
     assert dot.count("label=\"{") == 2  # two state nodes
     assert "peripheries=2" in dot  # deadlock is double-circled
 
 
 def test_dot_static(dung_ab):
-    dot = export_dot(reachable(dung_ab, ALL))
+    dot = export(reachable(dung_ab, ALL))
     assert dot.count("label=\"{") == 1
     assert "->" not in dot.replace("rankdir", "")
 
 
 def test_dot_oscillator(oscillator):
-    dot = export_dot(reachable(oscillator, ALL))
+    dot = export(reachable(oscillator, ALL))
     assert dot.count("label=\"{") == 7
 
 
 def test_dot_deterministic(oscillator):
     family = SelectorFamily((frozenset(), frozenset({"a1"})))
-    a = export_dot(reachable(oscillator, family))
-    b = export_dot(reachable(oscillator, family))
+    a = export(reachable(oscillator, family))
+    b = export(reachable(oscillator, family))
     assert a == b
 
 
 def test_dot_annotated(elma):
-    dot = export_dot(reachable(elma, ALL), "gr")
+    dot = export(reachable(elma, ALL), "gr")
     assert "gr: {a2,a4}" in dot
 
 

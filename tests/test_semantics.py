@@ -1,4 +1,5 @@
 import gc
+import io
 import random
 import weakref
 from itertools import product
@@ -161,7 +162,7 @@ def test_unknown_label_rejected(elma):
         lambda: holds(elma, "xx", fs(), init),
         lambda: extensions(elma, "xx", init),
         lambda: extensions(elma, "xx", init, max_args=0),  # label first
-        lambda: export_dot(reachable(elma, ALL), "xx"),
+        lambda: export_dot(reachable(elma, ALL), io.StringIO(), "xx"),
     )
     for call in calls:
         with pytest.raises(ValueError) as exc:
