@@ -155,10 +155,8 @@ def cmd_transitions(fw, out, sigma, json, **bounds) -> int:
             sep = ", "
         out.write("]}\n")
         return 0
-    from .dot import selector_label
-
     names = {s: fw.format_set(s.visible) for s in lts.states}
-    labels = [f"#{sel} {selector_label(lts, sel)}"
+    labels = [f"#{sel} {lts.selector_label(sel)}"
               for sel in range(len(lts.family.effective))]
     for src, edges in lts.walk():
         out.write("".join(f"{names[src]} -[{labels[sel]}]-> {names[dst]}\n"

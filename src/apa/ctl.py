@@ -27,7 +27,9 @@ complement. The labelling keeps what each alternative of a node's dual
 computed, and witnesses walk those fixpoints instead of computing them
 again. EU is built as its least fixpoint in stages: stage i holds the
 states whose shortest path to the target takes i steps. An EU witness
-walks down those stages, so it is a shortest path.
+walks down those stages, so it is a shortest path. Every witness step
+takes the allowed successor that comes first in the LTS's one canonical
+state order (`LTS.index`), so no successor set is sorted.
 """
 
 from __future__ import annotations
@@ -669,46 +671,35 @@ class CheckResult(NamedTuple):
     labeling: Labeling
 
 
-def _extend_to_lasso(
-    path: list[State], succ, within: frozenset[State] | None = None
-) -> Lasso:
-    """Extend `path` along canonical successors until a state repeats."""
-    seen = {s: i for i, s in enumerate(path)}
-    current = path[-1]
-    while True:
-        choices = succ(current)
-        if within is not None:
-            choices = [c for c in choices if c in within]
-        nxt = choices[0]
-        if nxt in seen:
-            i = seen[nxt]
-            return Lasso(prefix=tuple(path[:i]), cycle=tuple(path[i:]))
-        seen[nxt] = len(path)
-        path.append(nxt)
-        current = nxt
-
-
 def _witness_path(labeling: Labeling, node: Formula) -> Lasso | None:
     """A lasso justifying a true existential / refuting a false universal
     top-level temporal formula, from the first alternative recorded for it
     that holds at the initial state: EX steps into its target, EU walks
-    down its stages and EG stays within its set."""
-    init = labeling.lts.initial
-    state_key = labeling.lts.framework.state_key
-    succ = lambda s: sorted(labeling.successors(node.sigma, s), key=state_key)
+    down its stages, and then the path goes on, within the set for EG and
+    anywhere otherwise, until a state repeats. Every step takes the allowed
+    successor first in the canonical order, `LTS.index`."""
+    init, position = labeling.lts.initial, labeling.lts.index.__getitem__
+
+    def step(state: State, allowed) -> State:
+        succs = labeling.successors(node.sigma, state)
+        return min(filter(allowed, succs), key=position)
+
     for kind, target, result in labeling.fixpoints.get(node, ()):
         if init not in result:
             continue
-        if kind == "EG":
-            return _extend_to_lasso([init], succ, within=result)
         path = [init]
         if kind == "EX":
-            path.append(next(t for t in succ(init) if t in target))
-        else:  # EU
+            path.append(step(path[-1], target.__contains__))
+        elif kind == "EU":
             for stage in range(result[init] - 1, -1, -1):
-                below = (t for t in succ(path[-1]) if result.get(t) == stage)
-                path.append(next(below))
-        return _extend_to_lasso(path, succ)
+                path.append(step(path[-1], lambda t: result.get(t) == stage))
+        within = (result if kind == "EG" else labeling.everywhere).__contains__
+        seen = {s: i for i, s in enumerate(path)}
+        while (nxt := step(path[-1], within)) not in seen:
+            seen[nxt] = len(path)
+            path.append(nxt)
+        i = seen[nxt]
+        return Lasso(prefix=tuple(path[:i]), cycle=tuple(path[i:]))
     return None
 
 

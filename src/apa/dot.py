@@ -12,13 +12,6 @@ from __future__ import annotations
 from .dynamics import LTS
 
 
-def selector_label(lts: LTS, selector: int) -> str:
-    """`*` for the wildcard family, else the selector's reference set."""
-    if lts.family.is_wildcard:
-        return "*"
-    return lts.framework.format_set(lts.family.effective[selector])
-
-
 def export_dot(lts: LTS, out, annotate_extensions: str | None = None) -> None:
     """Write `lts` as DOT text to the text stream `out`.
 
@@ -47,7 +40,7 @@ def export_dot(lts: LTS, out, annotate_extensions: str | None = None) -> None:
             attrs.append("peripheries=2")
         lines.append(f'  {ids[state]} [{", ".join(attrs)}];')
     out.write("\n".join(lines) + "\n")
-    labels = [selector_label(lts, sel)
+    labels = [lts.selector_label(sel)
               for sel in range(len(lts.family.effective))]
     for src, edges in lts.walk():
         out.write("".join(f'  {ids[src]} -> {ids[dst]} [label="{labels[sel]}"];\n'

@@ -23,7 +23,9 @@ state before the step. Each connected group of acts is folded on its own,
 and the successors are the product of the groups' outcomes. The product is
 exact because the groups touch disjoint arguments: which of a group's
 arguments end up visible depends only on which of its own acts fire.
-Callers see only `State`s.
+Callers see only `State`s. `reachable` decides the one canonical order of
+states, and the LTS keeps it as `LTS.index`: every edge output and every
+witness step reads that table.
 """
 
 from __future__ import annotations
@@ -70,12 +72,14 @@ class LTS:
     """Reachable states plus transitions labeled by selector index.
 
     The transition relation is stored once: `tables[i]` maps every state
-    to the set `successor_states` gave for it under selector `i`. `walk()`
-    reads the edges off the tables in canonical order, grouped by source
-    state, and every output writes one source's group at a time; `edges`
-    keeps that walk flattened into a tuple of triples for library callers,
-    and `edges` and `deadlocks` are derived on first use. Immutable by
-    convention.
+    to the set `successor_states` gave for it under selector `i`. `states`
+    is in the canonical order, which `reachable` decides once, and `index`
+    maps each state to its position there: the one state order that
+    `walk()` and the witnesses of `ctl` read. `walk()` reads the edges off
+    the tables in that order, grouped by source state, and every output
+    writes one source's group at a time; `edges` keeps that walk flattened
+    into a tuple of triples for library callers. `index`, `edges` and
+    `deadlocks` are derived on first use. Immutable by convention.
     """
 
     def __init__(
@@ -92,14 +96,25 @@ class LTS:
         self.initial = initial
         self.tables = tables
 
+    @functools.cached_property
+    def index(self) -> dict[State, int]:
+        """Each state's position in `states`, the canonical order."""
+        return {s: i for i, s in enumerate(self.states)}
+
+    def selector_label(self, selector: int) -> str:
+        """`*` for the wildcard family, else the selector's reference set."""
+        if self.family.is_wildcard:
+            return "*"
+        return self.framework.format_set(self.family.effective[selector])
+
     def walk(self) -> Iterator[tuple[State, list[tuple[int, State]]]]:
         """Each source state that has an edge, with its (selector index,
-        target) pairs, one source at a time: sources and targets in
-        `states` order, selectors in index order."""
-        position = {s: i for i, s in enumerate(self.states)}
+        target) pairs, one source at a time: sources and targets in the
+        canonical order, `index`, and selectors in index order."""
+        position = self.index.__getitem__
         for s in self.states:
             edges = [(i, t) for i, table in enumerate(self.tables)
-                     for t in sorted(table[s], key=position.__getitem__)]
+                     for t in sorted(table[s], key=position)]
             if edges:
                 yield s, edges
 
@@ -255,10 +270,12 @@ def reachable(
     """Breadth-first closure of the transition relation from the initial
     state, expanding under every selector of `family` at every state.
 
-    The result keeps one successor table per selector and the states
-    sorted by their member-index tuples; `LTS.edges` and `LTS.deadlocks`
-    are derived from the tables when first read. Each table entry is the
-    very set `successor_states` computed for that selector and state.
+    The result keeps one successor table per selector and the states in
+    the canonical order, decided here and nowhere else: by their members'
+    bits, sorted, which order as the declaration indices do. `LTS.index`,
+    `LTS.edges` and `LTS.deadlocks` are derived from these when first
+    read. Each table entry is the very set `successor_states` computed
+    for that selector and state.
     """
     _bound(1, max_states)
     selectors = family.effective
@@ -275,5 +292,6 @@ def reachable(
                 _bound(len(seen) + 1, max_states)
                 seen.add(succ)
                 queue.append(succ)
-    states = tuple(sorted(seen, key=fw.state_key))
+    bit = fw.masks.bit
+    states = tuple(sorted(seen, key=lambda s: sorted(map(bit.get, s.visible))))
     return LTS(fw, family, states, init, tables)

@@ -54,7 +54,8 @@ class State(NamedTuple):
     """A state of the dynamics: the set of currently visible arguments.
 
     States hash and compare as tuples, in C, so they are equal iff their
-    visible sets are; sort them by `APAFramework.state_key`. The attacks a
+    visible sets are. Their one canonical order is decided by
+    `dynamics.reachable` and kept by the LTS as `LTS.index`. The attacks a
     state induces are the framework's attacks between members of `visible`.
     """
 
@@ -139,10 +140,6 @@ class APAFramework:
     def sort_args(self, args: Iterable[str]) -> tuple[str, ...]:
         """Sort argument ids by declaration order."""
         return tuple(sorted(args, key=self.masks.bit.__getitem__))
-
-    def state_key(self, state: State) -> tuple[int, ...]:
-        """Canonical sort key for states: the sorted tuple of member bits."""
-        return tuple(sorted(map(self.masks.bit.__getitem__, state.visible)))
 
     # -- states ------------------------------------------------------------
 

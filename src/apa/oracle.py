@@ -184,6 +184,12 @@ def successors_bruteforce(
     return frozenset(out)
 
 
+def _member_order(fw: APAFramework):
+    """A sort key for states: the declaration indices of the members,
+    ascending."""
+    return lambda state: sorted(map(fw.arguments.index, state.visible))
+
+
 def reachable_bruteforce(
     fw: APAFramework,
     refsets: tuple[frozenset[str], ...],
@@ -203,7 +209,7 @@ def reachable_bruteforce(
                         )
                     seen.add(t)
                     stack.append(t)
-    return tuple(sorted(seen, key=fw.state_key))
+    return tuple(sorted(seen, key=_member_order(fw)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +259,7 @@ def bounded_path_eval(
         depth = 2 * len(states) + 1
 
     succ_cache: dict[tuple[Sigma, State], tuple[State, ...]] = {}
+    by_members = _member_order(fw)
 
     def succs(sigma: Sigma, s: State) -> tuple[State, ...]:
         key = (sigma, s)
@@ -260,7 +267,7 @@ def bounded_path_eval(
             out: set[State] = set()
             for refset in sigma_refsets(sigma):
                 out |= successors_bruteforce(fw, refset, s)
-            succ_cache[key] = tuple(sorted(out, key=fw.state_key)) or (s,)
+            succ_cache[key] = tuple(sorted(out, key=by_members)) or (s,)
         return succ_cache[key]
 
     memo: dict[tuple, bool] = {}

@@ -29,8 +29,9 @@ it decides first a maximal conflict-free set, so that the cut fires
 without waiting for both sides of each conflict to be decided, whatever
 the declaration order.
 `max_args` bounds the visible arguments of a listing and of a `pr` test,
-since both search the complete sets; `gr` and the other membership tests
-are polynomial and unbounded.
+since both search the complete sets: `_bounded` checks it before either,
+whatever the candidate. `gr` and the other membership tests are
+polynomial and unbounded.
 """
 
 from __future__ import annotations
@@ -111,6 +112,16 @@ def is_complete(fw: APAFramework, candidate: frozenset[str], state: State) -> bo
     return not _defended(fw.masks, inn, vis, vis & ~inn)
 
 
+def _bounded(state: State, max_args: int) -> None:
+    """Refuse a search at `state` over more than `max_args` visible
+    arguments: the one bound of `_search` and of the `pr` test."""
+    if len(state.visible) > max_args:
+        raise TooLarge(
+            f"{len(state.visible)} visible arguments exceed the enumeration "
+            f"bound of {max_args}"
+        )
+
+
 def _search(
     fw: APAFramework, state: State, max_args: int, label: str
 ) -> tuple[frozenset[str], ...]:
@@ -144,11 +155,7 @@ def _search(
     """
     if label not in ("ad", "co", "pr", "st"):
         raise ValueError(f"unknown semantics label: {label!r}")
-    if len(state.visible) > max_args:
-        raise TooLarge(
-            f"{len(state.visible)} visible arguments exceed the enumeration "
-            f"bound of {max_args}"
-        )
+    _bounded(state, max_args)
     masks = fw.masks
     victims, threats, clash = masks.victims, masks.threats, masks.clash
     vis = fw.mask(state.visible)
@@ -220,13 +227,14 @@ def holds(
 ) -> bool:
     """Evaluate one of the five semantics labels for `candidate` at
     `state`. Only `pr` searches, for the complete sets at `state`, and so
-    only `pr` is bounded by `max_args`."""
+    only `pr` is bounded by `max_args`, whatever the candidate."""
     candidate = frozenset(candidate)
     if label == "ad":
         return is_admissible(fw, candidate, state)
     if label == "co":
         return is_complete(fw, candidate, state)
     if label == "pr":
+        _bounded(state, max_args)
         return is_complete(fw, candidate, state) and not any(
             candidate < c for c in complete_sets(fw, state, max_args)
         )

@@ -344,7 +344,7 @@ _BASE = ["apa", "apa.cli", "apa.errors", "apa.fileformat", "apa.model"]
     [
         (["states", "--json"], ["apa.dynamics"]),
         (["transitions", "--json"], ["apa.dynamics"]),
-        (["transitions"], ["apa.dot", "apa.dynamics"]),
+        (["transitions"], ["apa.dynamics"]),
         (["semantics", "--state", "a2,a3,a4", "--which", "co", "--json"],
          ["apa.semantics"]),
         (["check", "QUERY", "--json"],
@@ -510,6 +510,19 @@ def test_admissible_listing_still_bounded(wide_file):
     code, out, err = run(["semantics", wide_file, "--state", names, "--which", "ad"])
     assert code == 1 and out == ""
     assert err.startswith("error:") and "bound of 20" in err
+
+
+def test_preferred_test_bounded_whatever_the_candidate(tmp_path):
+    fw = tmp_path / "fw.apa"
+    fw.write_text("arguments: a b c d\ninitial: a b c d\nattack: a -> b\n")
+    q = tmp_path / "q.q"
+    # {b} is not complete and {a,c,d} is: both meet the bound
+    for candidate in ("{b}", "{a,c,d}"):
+        q.write_text(f"formula: sem(pr, {candidate})\n")
+        code, out, err = run(["check", str(fw), str(q), "--max-args", "2"])
+        assert (code, out, err) == (
+            1, "", "error: 4 visible arguments exceed the enumeration bound of 2\n"
+        ), candidate
 
 
 def test_dot_annotation_error_writes_nothing(wide_file):

@@ -584,10 +584,12 @@ def lasso_proves(op, path, everywhere, left, right):
     }[op]()
 
 
-def bfs_distance(labeling, sigma, through, targets):
-    """Length of the shortest selector-path from the initial state to a
-    state of `targets` through states of `through`, or None."""
-    frontier, seen, distance = {labeling.lts.initial}, set(), 0
+def bfs_distance(labeling, sigma, through, targets, start=None):
+    """Length of the shortest selector-path from `start` (the initial
+    state if None) to a state of `targets` through states of `through`,
+    or None."""
+    frontier = {labeling.lts.initial if start is None else start}
+    seen, distance = set(), 0
     while frontier:
         if frontier & targets:
             return distance
@@ -646,6 +648,101 @@ def test_witnesses_prove_their_verdicts():
                 through, targets = reach[op]
                 first = next(i for i, s in enumerate(path) if s in targets)
                 assert first == bfs_distance(labeling, sigma, through, targets)
+    assert all(lassos.values()), lassos
+
+
+def eg_set(labeling, sigma, within):
+    """The states of `within` from which a path stays in `within` forever:
+    drop the states with no successor left in the set until none is."""
+    kept = set(within)
+    while dropped := {
+        s for s in kept if not labeling.successors(sigma, s) & kept
+    }:
+        kept -= dropped
+    return kept
+
+
+#: The frameworks of the acceptance sweeps c03 and c07, by seed.
+_LASSO_SWEEPS = (
+    lambda seed: RandomInstanceSpec(2 + seed % 5, 0.3, 1, 2, seed=seed),
+    lambda seed: RandomInstanceSpec(
+        2 + seed % 5, n_induce=2, n_convert=2, seed=40000 + seed
+    ),
+)
+
+
+def test_every_lasso_step_takes_the_first_allowed_successor():
+    """Each step of a lasso goes to the allowed successor that comes first
+    in the canonical state order, the sorted declaration indices of its
+    members: into the target for EX, one breadth-first stage nearer the
+    target for EU, and then within the EG set, or anywhere, until a state
+    repeats."""
+    rng = random.Random(3131)
+    lassos = dict.fromkeys(("EX", "AX", "EF", "AF", "EG", "AG", "E", "A"), 0)
+    for sweep in _LASSO_SWEEPS:
+        for seed in range(200):
+            fw = random_framework(sweep(seed))
+            order = lambda s: sorted(map(fw.arguments.index, s.visible))
+            query = random_query(rng, fw, n_sets=2, depth=2)
+            names = tuple(name for name, _ in query.sets)
+            phi, psi = query.formula, random_formula(rng, fw, names, 2)
+            sigma = random_sigma(rng, names)
+            for op in lassos:
+                if op in ("A", "E"):
+                    node = Until(op, sigma, phi, psi)
+                else:
+                    node = Temporal(op, sigma, phi)
+                result = check(fw, Query(sets=query.sets, formula=node))
+                lasso, labeling = result.witness, result.labeling
+                if lasso is None:
+                    continue
+                lassos[op] += 1
+                everywhere, sat = labeling.everywhere, labeling.sat
+                left = sat[phi]
+                right = sat[psi] if op in ("A", "E") else everywhere
+                # the witness's existential form: EX into a target, EU
+                # through one set into another, or EG within a set
+                kind, *sets = {
+                    "EX": ("EX", left),
+                    "AX": ("EX", everywhere - left),
+                    "EF": ("EU", everywhere, left),
+                    "AG": ("EU", everywhere, everywhere - left),
+                    "E": ("EU", left, right),
+                    "EG": ("EG", left),
+                    "AF": ("EG", everywhere - left),
+                    "A": ("EU", everywhere - right, everywhere - right - left),
+                }[op]
+                if op == "A" and bfs_distance(labeling, sigma, *sets) is None:
+                    kind, sets = "EG", [everywhere - right]
+                if kind == "EX":
+                    allowed = [sets[0]]
+                elif kind == "EU":
+                    stage = {
+                        s: bfs_distance(labeling, sigma, *sets, start=s)
+                        for s in everywhere
+                    }
+                    first = stage[labeling.lts.initial]
+                    allowed = [
+                        {s for s in everywhere if stage[s] == k}
+                        for k in range(first - 1, -1, -1)
+                    ]
+                else:
+                    allowed = []
+                path = lasso.prefix + lasso.cycle
+                # past the steps above, the walk stops at its first repeat
+                assert all(
+                    path[j] not in path[:j]
+                    for j in range(len(allowed) + 1, len(path))
+                ), (seed, op)
+                if kind == "EG":
+                    within = eg_set(labeling, sigma, *sets)
+                else:
+                    within = everywhere
+                steps = zip(path, path[1:] + lasso.cycle[:1])
+                for i, (s, t) in enumerate(steps):
+                    step = allowed[i] if i < len(allowed) else within
+                    choices = labeling.successors(sigma, s) & step
+                    assert t == min(choices, key=order), (seed, op, i)
     assert all(lassos.values()), lassos
 
 

@@ -590,7 +590,7 @@ def test_selector_indices_label_edges(elma):
 def _derived_views_match_tables(lts):
     """`edges` is every table entry sorted by (source key, selector index,
     target key); `deadlocks` the states whose tables are all empty."""
-    key = lts.framework.state_key
+    key = lambda s: sorted(map(lts.framework.arguments.index, s.visible))
     entries = [
         (s, i, t)
         for i, table in enumerate(lts.tables)
