@@ -25,16 +25,20 @@ labelled through its dual over EX, EU and EG, and the counterexample of a
 universal operator is the witness of its existential dual on the
 complement. The labelling keeps what each alternative of a node's dual
 computed, and witnesses walk those fixpoints instead of computing them
-again. EU is built as its least fixpoint in stages: stage i holds the
-states whose shortest path to the target takes i steps. An EU witness
-walks down those stages, so it is a shortest path. Every witness step
-takes the allowed successor that comes first in the LTS's one canonical
-state order (`LTS.index`), so no successor set is sorted.
+again. Every fixpoint reads the successor tables through one backward
+step, `Labeling.pre`. EU is built as its least fixpoint in stages: stage
+i holds the states whose shortest path to the target takes i steps. An
+EU witness walks down those stages, so it is a shortest path. A witness
+is one walk from the initial state; every step takes the allowed
+successor that comes first in the LTS's one canonical state order
+(`LTS.index`), so no successor set is sorted, and the walk stops at its
+first repeated state, so a lasso lists each state once.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from . import dynamics, semantics
@@ -42,7 +46,6 @@ from .dynamics import LTS, SelectorFamily
 from .errors import QuerySyntaxError, UnknownName, UnknownSelector
 from .model import NAME, APAFramework, State
 
-SEMANTICS_LABELS = set(semantics.LABELS)
 UNARY_TEMPORAL = ("AX", "EX", "AF", "EF", "AG", "EG")
 #: Deepest formula the parser accepts. Equality, repr, copy and pickle of
 #: the AST recurse, so depth must stay well below Python's recursion limit.
@@ -432,7 +435,7 @@ class _Parser:
         return self.take()
 
     def parse_label(self) -> str:
-        if self.text not in SEMANTICS_LABELS:
+        if self.text not in semantics.LABELS:
             self.error(f"expected one of {', '.join(semantics.LABELS)}")
         return self.take()
 
@@ -504,6 +507,8 @@ _EXISTENTIAL_DUAL = {"AX": "EX", "AF": "EG", "AG": "EF"}
 class Labeling:
     """One labelling pass over the union LTS of every selector family the
     query mentions: `sat` maps each subformula to the states where it holds.
+    Each family's stutter-completed successor map is built once, and `pre`
+    is the one backward step that EX, EG and EU read it through.
 
     The query's names are checked against the framework before any state
     is explored. Immutable by convention once built; safe to share across
@@ -527,17 +532,16 @@ class Labeling:
             for node in order
             if isinstance(node, (Temporal, Until))
         }
-        selectors = {r: None for rs in refsets.values() for r in rs}
-        index = {r: i for i, r in enumerate(selectors)}
+        selectors = tuple(dict.fromkeys(chain.from_iterable(refsets.values())))
         self.lts: LTS = dynamics.reachable(
-            fw, SelectorFamily(tuple(selectors)), max_states=max_states
+            fw, SelectorFamily(selectors), max_states=max_states
         )
         self.everywhere = frozenset(self.lts.states)
 
         # successor maps per selector family, stutter-completed
         self._succ: dict[Sigma, dict[State, frozenset[State]]] = {}
         for sigma, rs in refsets.items():
-            ids = {index[r] for r in rs}
+            ids = {selectors.index(r) for r in rs}
             self._succ[sigma] = {
                 s: self.lts.successors_of(s, ids) or frozenset([s])
                 for s in self.lts.states
@@ -555,21 +559,23 @@ class Labeling:
 
     # -- fixpoints --------------------------------------------------------
 
-    def ex(self, sigma: Sigma, sat: frozenset[State]) -> frozenset[State]:
+    def pre(
+        self, sigma: Sigma, among: frozenset[State], target: frozenset[State]
+    ) -> frozenset[State]:
+        """The states of `among` with a successor in `target` under family
+        `sigma`: the one backward step of every fixpoint below."""
         succ = self._succ[sigma]
-        return frozenset(
-            s for s in self.everywhere if not succ[s].isdisjoint(sat)
-        )
+        return frozenset(s for s in among if not succ[s].isdisjoint(target))
+
+    def ex(self, sigma: Sigma, sat: frozenset[State]) -> frozenset[State]:
+        return self.pre(sigma, self.everywhere, sat)
 
     def eg(self, sigma: Sigma, sat: frozenset[State]) -> frozenset[State]:
         """EG as the greatest fixpoint of Z = sat & EX Z: keep the states
         with a successor still kept, until none is dropped."""
-        succ = self._succ[sigma]
-        while True:
-            kept = frozenset(s for s in sat if not succ[s].isdisjoint(sat))
-            if len(kept) == len(sat):
-                return kept
+        while len(kept := self.pre(sigma, sat, sat)) != len(sat):
             sat = kept
+        return sat
 
     def eu(
         self, sigma: Sigma, left: frozenset[State], right: frozenset[State]
@@ -579,12 +585,11 @@ class Labeling:
         its shortest path into `right` through `left`. Stage 0 is `right`;
         stage i+1 is the states of `left` not yet in Z with a successor in
         stage i (one with a successor in an earlier stage is in Z already)."""
-        succ = self._succ[sigma]
         stages = dict.fromkeys(right, 0)
         frontier, rest, stage = right, left - right, 0
         while frontier:
             stage += 1
-            frontier = {s for s in rest if not succ[s].isdisjoint(frontier)}
+            frontier = self.pre(sigma, rest, frontier)
             rest -= frontier
             stages.update(dict.fromkeys(frontier, stage))
         return stages
@@ -674,32 +679,34 @@ class CheckResult(NamedTuple):
 def _witness_path(labeling: Labeling, node: Formula) -> Lasso | None:
     """A lasso justifying a true existential / refuting a false universal
     top-level temporal formula, from the first alternative recorded for it
-    that holds at the initial state: EX steps into its target, EU walks
-    down its stages, and then the path goes on, within the set for EG and
-    anywhere otherwise, until a state repeats. Every step takes the allowed
-    successor first in the canonical order, `LTS.index`."""
+    that holds at the initial state. The path is one walk from the initial
+    state over a schedule of allowed successors: first the forced steps,
+    into the target for EX or one stage down for each stage of EU, then
+    free steps, within the set for EG and anywhere otherwise. Every step
+    takes the allowed successor first in the canonical order, `LTS.index`,
+    and the walk stops the first time that successor is already on the
+    path, forced steps included, so a lasso lists each state once."""
     init, position = labeling.lts.initial, labeling.lts.index.__getitem__
-
-    def step(state: State, allowed) -> State:
-        succs = labeling.successors(node.sigma, state)
-        return min(filter(allowed, succs), key=position)
-
     for kind, target, result in labeling.fixpoints.get(node, ()):
         if init not in result:
             continue
-        path = [init]
         if kind == "EX":
-            path.append(step(path[-1], target.__contains__))
+            forced = [target.__contains__]
         elif kind == "EU":
-            for stage in range(result[init] - 1, -1, -1):
-                path.append(step(path[-1], lambda t: result.get(t) == stage))
+            down = range(result[init] - 1, -1, -1)
+            forced = [lambda t, i=i: result.get(t) == i for i in down]
+        else:
+            forced = []
         within = (result if kind == "EG" else labeling.everywhere).__contains__
-        seen = {s: i for i, s in enumerate(path)}
-        while (nxt := step(path[-1], within)) not in seen:
-            seen[nxt] = len(path)
-            path.append(nxt)
-        i = seen[nxt]
-        return Lasso(prefix=tuple(path[:i]), cycle=tuple(path[i:]))
+        path, state = {init: 0}, init  # each state walked -> its position
+        for allowed in chain(forced, repeat(within)):
+            succs = labeling.successors(node.sigma, state)
+            state = min(filter(allowed, succs), key=position)
+            if state in path:
+                break
+            path[state] = len(path)
+        walk, i = tuple(path), path[state]
+        return Lasso(prefix=walk[:i], cycle=walk[i:])
     return None
 
 

@@ -213,15 +213,15 @@ def _fold(screens, vis: int, acts: int, max_states: int) -> set[int]:
     The acts are split into groups linked by a shared trigger or target
     argument (`_groups` on their (drop, add) masks). Within a group the
     acts are folded in one at a time over the effects of the nonempty act
-    subsets seen so far, as (dropped & ~added, added) mask pairs. The acts
-    that drop come first, and each new pair's `added` keeps only the
-    hidden arguments and the triggers of the acts still to fold: no other
-    added bit changes the state or offsets a later drop. Subsets with the
-    same pair lead to the same state whatever acts join them later, so the
-    pairs are deduplicated after each act. The groups touch disjoint
-    arguments, so a subset's effect is the union of its parts' effects,
-    each group's bits depend only on its own part, and the successors are
-    exactly the product of the groups' outcomes. The product leaves out
+    subsets seen so far, as (dropped & ~added, added) mask pairs. Each new
+    pair's `added` keeps only the hidden arguments and the triggers of the
+    acts still to fold, in whatever order they come: no other added bit
+    changes the state or offsets a later drop. Subsets with the same pair
+    lead to the same state whatever acts join them later, so the pairs are
+    deduplicated after each act. The groups touch disjoint arguments, so a
+    subset's effect is the union of its parts' effects, each group's bits
+    depend only on its own part, and the successors are exactly the
+    product of the groups' outcomes. The product leaves out
     only the combination where no group fires: a nonempty subset can still
     leave a group as it was (an induce whose target is visible), and then
     the state itself is a successor. Each count checked against
@@ -232,8 +232,6 @@ def _fold(screens, vis: int, acts: int, max_states: int) -> set[int]:
     flips = {0}  # the arguments a combination of group outcomes toggles
     idle = False  # some group has a nonempty subset that changes nothing
     for group in _groups(screens[i][2] for i in bit_positions(acts)):
-        # the acts that drop first, the ones that share a trigger together
-        group.sort(reverse=True)
         later = [hidden] * len(group)  # hidden | drops of the acts after j
         for j in range(len(group) - 1, 0, -1):
             later[j - 1] = later[j] | group[j][0]

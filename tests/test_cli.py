@@ -160,6 +160,29 @@ def test_check_false_exit_2(elma_file, tmp_path):
     assert lines[1].startswith("counterexample prefix:")
 
 
+def test_ex_witness_lists_the_initial_state_once(elma_file, tmp_path):
+    # the EX step from the initial state under {a2} loops back to it: the
+    # lasso is that one state, as the same path's EG witness prints it
+    q = tmp_path / "q.apa"
+    q.write_text("formula: EX{{a2}} visible(a4)\n")
+    assert run(["check", elma_file, str(q)]) == (
+        0, "true\nwitness prefix: (empty)\nwitness cycle:  {a2,a3,a4}\n", ""
+    )
+    assert run(["check", elma_file, str(q), "--json"]) == (
+        0,
+        '{"value": true, "witness": '
+        '{"cycle": [["a2", "a3", "a4"]], "prefix": []}}\n',
+        "",
+    )
+    q.write_text("formula: AX{{a2}} !visible(a4)\n")
+    assert run(["check", elma_file, str(q)]) == (
+        2,
+        "false\ncounterexample prefix: (empty)\n"
+        "counterexample cycle:  {a2,a3,a4}\n",
+        "",
+    )
+
+
 def test_check_syntax_error_exit_1(elma_file, tmp_path):
     q = tmp_path / "bad.q"
     q.write_text(QUERY_BAD)
