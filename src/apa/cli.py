@@ -1,14 +1,16 @@
 """Command-line interface.
 
     apa states <file> [--sigma <spec>]
-    apa transitions <file> --sigma <spec>
+    apa transitions <file> [--sigma <spec>]
     apa semantics <file> --state a2,a3,a4 --which ad|co|pr|st|gr
     apa check <file> <query-file>
     apa dot <file> [--sigma <spec>]
 
-`--sigma` is `all` or a comma-separated list of brace-set literals, e.g.
-`{a2},{a1,a3},{}`. Exit codes: 0 success (and true verdicts), 2 formula
-false, 1 any error. All output is deterministic; `--json` (states,
+`--sigma` is `all` (the default) or brace-set literals, e.g.
+`{a2},{a1 a3},{}`: names within braces are split at commas and blanks,
+and between the literals only commas and blanks may stand, none needed.
+Exit codes: 0 success (and true verdicts), 2 formula false, 1 any error,
+a closed stdout included. All output is deterministic; `--json` (states,
 transitions, semantics, check) switches the result to a canonical JSON
 document.
 
@@ -22,6 +24,7 @@ documents without the `json` module.
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -29,41 +32,31 @@ from typing import TYPE_CHECKING
 from .errors import ApaError
 
 if TYPE_CHECKING:
-    from .dynamics import SelectorFamily
     from .model import APAFramework
 
 _SIGMA_SET = r"\{([^{}]*)\}"  # compiled on first use, by `--sigma` commands
 
 
-def parse_sigma_spec(spec: str) -> SelectorFamily:
-    from .dynamics import ALL, SelectorFamily
-
-    if spec == "all":
-        return ALL
-    rest = re.sub(_SIGMA_SET, "", spec).replace(",", "").strip()
-    if rest:
-        raise ApaError(
-            f"bad --sigma value {spec!r}: expected 'all' or brace-set "
-            "literals like '{a1,a2},{}'"
-        )
-    refsets = [
-        frozenset(body.replace(",", " ").split())
-        for body in re.findall(_SIGMA_SET, spec)
-    ]
-    if not refsets:
-        raise ApaError(f"bad --sigma value {spec!r}: no selectors")
-    return SelectorFamily(tuple(refsets))
-
-
 def _lts(fw: APAFramework, sigma: str, bounds):
     """The LTS of `fw` under the `--sigma` family, with every name in the
     family checked against `fw`: what `states`, `transitions` and `dot`
-    print."""
+    print. One split reads the family: the brace bodies, and the text
+    between them, which may hold only commas and blanks."""
     from . import dynamics
 
-    family = parse_sigma_spec(sigma)
-    bodies = " ".join(re.findall(_SIGMA_SET, sigma))
-    _known(fw, "--sigma", bodies.replace(",", " ").split())
+    family = dynamics.ALL
+    if sigma != "all":
+        pieces = re.split(_SIGMA_SET, sigma)  # text, body, text, ... text
+        if "".join(pieces[::2]).replace(",", "").strip():
+            raise ApaError(
+                f"bad --sigma value {sigma!r}: expected 'all' or brace-set "
+                "literals like '{a1,a2},{}'"
+            )
+        refsets = [body.replace(",", " ").split() for body in pieces[1::2]]
+        if not refsets:
+            raise ApaError(f"bad --sigma value {sigma!r}: no selectors")
+        _known(fw, "--sigma", [name for names in refsets for name in names])
+        family = dynamics.SelectorFamily(tuple(map(frozenset, refsets)))
     return dynamics.reachable(fw, family, **bounds)
 
 
@@ -339,12 +332,18 @@ def main(argv=None, out=None, err=None) -> int:
         name, args = _parse(sys.argv[1:] if argv is None else argv)
         if args is None:
             print(_usage(name), file=out)
-            return 0
-        from . import fileformat
+            code = 0
+        else:
+            from . import fileformat
 
-        fw = fileformat.parse_framework(_read(args.pop("file")))
-        return _COMMANDS[name][0](fw, out, **args)
+            fw = fileformat.parse_framework(_read(args.pop("file")))
+            code = _COMMANDS[name][0](fw, out, **args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except (ApaError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # Python flushes stdout again at exit: send what is left nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=err)
         return 1
 

@@ -12,9 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from apa.cli import main, parse_sigma_spec
-from apa.dynamics import SelectorFamily, reachable
-from apa.errors import ApaError
+from apa.cli import main
+from apa.dynamics import ALL, SelectorFamily, reachable
 from apa.fileformat import parse_framework, print_framework
 from apa.oracle import RandomInstanceSpec, random_framework
 
@@ -51,24 +50,61 @@ def run(argv):
 # -- --sigma parsing ---------------------------------------------------------
 
 
-def test_sigma_spec_all():
-    assert parse_sigma_spec("all").is_wildcard
+# elma's one move, a3 : a4 => a5, by the selectors of each family that let
+# it through: what `states`, `transitions` and `dot` print under the family
+_ELMA_MOVES = {
+    "all": ["#0 *"],
+    "{a2},{}": ["#1 {}"],
+    "{a2},{},{a3,a5}": ["#1 {}", "#2 {a3,a5}"],
+}
 
 
-def test_sigma_spec_literals():
-    family = parse_sigma_spec("{a2},{},{a1,a3}")
-    assert family == SelectorFamily(
-        (frozenset({"a2"}), frozenset(), frozenset({"a1", "a3"}))
-    )
+def _elma_prints(command, moves):
+    if command == "states":
+        return "{a2,a3,a4}  (initial)\n{a2,a3,a5}  (deadlock)\n"
+    if command == "transitions":
+        return "".join(f"{{a2,a3,a4}} -[{move}]-> {{a2,a3,a5}}\n"
+                       for move in moves)
+    return ("digraph apa {\n  rankdir=LR;\n  node [shape=ellipse];\n"
+            '  s0 [label="{a2,a3,a4}", style=bold];\n'
+            '  s1 [label="{a2,a3,a5}", peripheries=2];\n'
+            + "".join(f'  s0 -> s1 [label="{move.split()[1]}"];\n'
+                      for move in moves)
+            + "}\n")
 
 
-def test_sigma_spec_garbage():
-    with pytest.raises(ApaError):
-        parse_sigma_spec("a2,a3")
-    for spec in ("", ","):  # nothing but separators names no reference set
-        with pytest.raises(ApaError) as exc:
-            parse_sigma_spec(spec)
-        assert str(exc.value) == f"bad --sigma value {spec!r}: no selectors"
+_SIGMA_BAD = "expected 'all' or brace-set literals like '{a1,a2},{}'"
+
+#: Each `--sigma` value: itself when pinned above, the canonical spelling
+#: it prints as, or the error that fails the command.
+_SIGMA_READS = {
+    **{spec: spec for spec in _ELMA_MOVES},
+    "{a2}{}": "{a2},{}",
+    "{a2},,{}": "{a2},{}",
+    " {a2} , {} ": "{a2},{}",
+    "{a2},": "{a2}",
+    "{a2 a3}": "{a2,a3}",
+    **{spec: f"error: bad --sigma value {spec!r}: {_SIGMA_BAD}"
+       for spec in ("a2,a3", "{a2}}", "{{a2}}", "all,{a2}", "{zz}x")},
+    **{spec: f"error: bad --sigma value {spec!r}: no selectors"
+       for spec in ("", ",")},
+    "{zz,a2},{yy},{zz}": "error: unknown arguments in --sigma: zz, yy",
+    "{a2 zz},{a3,yy,zz}": "error: unknown arguments in --sigma: zz, yy",
+}
+
+
+@pytest.mark.parametrize("command", ["states", "transitions", "dot"])
+@pytest.mark.parametrize("spec", list(_SIGMA_READS))
+def test_sigma_spellings(elma_file, command, spec):
+    got = run([command, elma_file, "--sigma", spec])
+    want = _SIGMA_READS[spec]
+    if want.startswith("error: "):
+        assert got == (1, "", want + "\n")
+    elif spec in _ELMA_MOVES:
+        assert got == (0, _elma_prints(command, _ELMA_MOVES[spec]), "")
+    else:
+        assert got == run([command, elma_file, "--sigma", want])
+        assert got[::2] == (0, "")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -325,6 +361,38 @@ def test_check_literal_does_not_capture_declared_set(tmp_path):
 def _src_env():
     root = Path(__file__).resolve().parents[1]
     return dict(os.environ, PYTHONPATH=str(root / "src"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["states", "FILE", "--json"],
+    ["transitions", "FILE"],
+    ["dot", "FILE"],
+    ["transitions", "LARGE", "--json"],  # fails mid-stream, not at the end
+], ids=" ".join)
+def test_closed_stdout_is_an_error(argv, elma_file, tmp_path):
+    """A reader that closed its end before `apa` writes gets the usual
+    `error: ...` and exit 1, with stdout block-buffered as it is on a
+    pipe unless PYTHONUNBUFFERED is set."""
+    files = {"FILE": elma_file, "LARGE": str(tmp_path / "large.apa")}
+    if "LARGE" in argv:
+        fw = random_framework(RandomInstanceSpec(14, 0.15, 8, 8, seed=164))
+        Path(files["LARGE"]).write_text(print_framework(fw))
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "apa.cli",
+             *(files.get(arg, arg) for arg in argv)],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) \
+        == (1, "error: [Errno 32] Broken pipe\n")
 
 
 def test_cli_import_leaves_query_engine_unloaded():
@@ -634,13 +702,22 @@ _STREAMED_FRAMEWORKS = [
 ]
 
 
-@pytest.mark.parametrize("spec", ["all", "{a1,a2},{}", "{a1},{a1}"])
+#: Each `--sigma` value, and the family it names, written out
+_STREAMED_FAMILIES = {
+    "all": ALL,
+    "{a1,a2},{}": SelectorFamily((frozenset({"a1", "a2"}), frozenset())),
+    "{a1},{a1}": SelectorFamily((frozenset({"a1"}), frozenset({"a1"}))),
+}
+
+
+@pytest.mark.parametrize("spec", list(_STREAMED_FAMILIES))
 def test_transitions_json_streams_the_canonical_document(spec, tmp_path):
+    family = _STREAMED_FAMILIES[spec]
     path = tmp_path / "fw.apa"
     for instance in _STREAMED_FRAMEWORKS:
         fw = random_framework(instance)
         path.write_text(print_framework(fw))
-        lts = reachable(fw, parse_sigma_spec(spec))
+        lts = reachable(fw, family)
         want = json.dumps(_edges_doc(fw, lts), sort_keys=True) + "\n"
         assert run(["transitions", str(path), "--sigma", spec, "--json"]) \
             == (0, want, ""), instance
