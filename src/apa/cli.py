@@ -24,6 +24,7 @@ documents without the `json` module.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import sys
@@ -325,10 +326,14 @@ def _parse(argv: list[str]):
 
 def main(argv=None, out=None, err=None) -> int:
     """Run one command; `out` and `err` default to `sys.stdout` and
-    `sys.stderr` as they are at the call."""
+    `sys.stderr` as they are at the call. Only when `out` is `sys.stdout`
+    does `main` flush it, and on a broken pipe point fd 1 at the null
+    device."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
+        if out is None:  # fd 1 was closed when Python started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         name, args = _parse(sys.argv[1:] if argv is None else argv)
         if args is None:
             print(_usage(name), file=out)
@@ -338,12 +343,13 @@ def main(argv=None, out=None, err=None) -> int:
 
             fw = fileformat.parse_framework(_read(args.pop("file")))
             code = _COMMANDS[name][0](fw, out, **args)
-        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        if out is sys.stdout:
+            out.flush()  # a closed pipe fails here, not at exit
         return code
     except (ApaError, OSError) as exc:
-        if isinstance(exc, BrokenPipeError):
+        if isinstance(exc, BrokenPipeError) and out is sys.stdout:
             # Python flushes stdout again at exit: send what is left nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         print(f"error: {exc}", file=err)
         return 1
 

@@ -10,11 +10,13 @@ associative); temporal operators AX EX AF EF AG EG carry a selector
 superscript `{Name,...}` or `{*}`; until is written `A{S}[p U q]` /
 `E{S}[p U q]`. Atoms: `true`, `false`, `in(arg, Set)`, `sem(ad|co|pr|st|gr,
 Set)`, `visible(arg)` and the macro `exact(Set, Set)`. An inline `{a,b}`
-literal may stand for a set operand or a selector; it binds a fresh name.
-In the AST a selector is a tuple of set names, or None for `{*}`. AST
-nodes are immutable: two nodes are equal when they are of the same class
-and their fields are equal, and each node caches its hash when it is built,
-so a formula of any depth keys the labelling's tables in constant time.
+literal may stand for a set operand or a selector; it is bound under its
+own text, members sorted (`{a,b}`). A declared name is an identifier, so
+none can take that text, and equal literals share one binding. In the
+AST a selector is a tuple of set names, or None for `{*}`. AST nodes are
+immutable: two nodes are equal when they are of the same class and their
+fields are equal, and each node caches its hash when it is built, so a
+formula of any depth keys the labelling's tables in constant time.
 
 Temporal operators range over transitions whose reference set is drawn
 from their own selector family; a state with no outgoing edge for a family
@@ -164,12 +166,11 @@ class Until(Formula):
 
 
 class Query(NamedTuple):
-    """Named-set bindings plus the formula to check."""
+    """Named-set bindings plus the formula to check. A declared set is
+    bound under its name, an inline literal under its own text."""
 
     sets: tuple[tuple[str, frozenset[str]], ...]
     formula: Formula
-    #: names synthesized for inline set literals (shown as literals in errors)
-    implicit: frozenset[str] = frozenset()
 
     def bindings(self) -> dict[str, frozenset[str]]:
         return dict(self.sets)
@@ -240,13 +241,16 @@ def _tokenize(source: str) -> list[tuple[str, int]]:
     return tokens
 
 
+def _print_literal(members: frozenset[str]) -> str:
+    return "{" + ",".join(sorted(members)) + "}"
+
+
 class _Parser:
     def __init__(self, source: str):
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.sets: dict[str, frozenset[str]] = {}
-        self.implicit: list[str] = []
         self.depth = 0
 
     # -- token plumbing ---------------------------------------------------
@@ -303,11 +307,7 @@ class _Parser:
             self.error(f"trailing input {self.text!r}")
         if formula.height > MAX_NESTING:
             self.error(f"formula nested more than {MAX_NESTING} levels deep")
-        return Query(
-            sets=tuple(sorted(self.sets.items())),
-            formula=formula,
-            implicit=frozenset(self.implicit),
-        )
+        return Query(sets=tuple(sorted(self.sets.items())), formula=formula)
 
     def parse_set_literal(self) -> frozenset[str]:
         self.expect("{")
@@ -318,17 +318,13 @@ class _Parser:
         return frozenset(members)
 
     def parse_setref(self, selector: bool = False) -> str:
-        """A declared set name, or an inline literal bound to the first
-        `_s<i>` name not yet taken. A `selector` entry words its errors
-        for a selector list."""
+        """A declared set name, or an inline literal bound under its own
+        text, `_print_literal` of its members. A `selector` entry words its
+        errors for a selector list."""
         if self.text == "{":
             members = self.parse_set_literal()
-            i = len(self.implicit)
-            while f"_s{i}" in self.sets:
-                i += 1
-            name = f"_s{i}"
+            name = _print_literal(members)
             self.sets[name] = members
-            self.implicit.append(name)
             return name
         name = self.text
         if not name.isidentifier():
@@ -472,10 +468,6 @@ def _subformulas(root: Formula) -> list[Formula]:
     return list(order)
 
 
-def _print_literal(members: frozenset[str]) -> str:
-    return "{" + ",".join(sorted(members)) + "}"
-
-
 def _resolve_names(
     fw: APAFramework, query: Query, order: list[Formula]
 ) -> dict[str, frozenset[str]]:
@@ -485,10 +477,7 @@ def _resolve_names(
     for name, members in query.sets:
         unknown = sorted(members.difference(declared))
         if unknown:
-            shown = (
-                "literal " + _print_literal(members)
-                if name in query.implicit else repr(name)
-            )
+            shown = "literal " + name if name.startswith("{") else repr(name)
             raise UnknownName(
                 f"set {shown} mentions undeclared argument {unknown[0]!r}"
             )

@@ -15,8 +15,6 @@ from apa.ctl import (
     Temporal,
     Until,
     Visible,
-    _operands,
-    _print_literal,
 )
 from apa.model import framework
 from apa.oracle import random_formula
@@ -103,17 +101,15 @@ def mutants(texts, count, seed):
 _PRECEDENCE = {Implies: 1, Or: 2, And: 3}
 
 
-def print_formula(node: Formula, query: Query) -> str:
-    """Render a formula back to concrete syntax (reparses to an equal AST)."""
-    bound = query.bindings()
-
-    def setref(name: str) -> str:
-        return _print_literal(bound[name]) if name in query.implicit else name
+def print_formula(node: Formula) -> str:
+    """Render a formula back to concrete syntax (reparses to an equal AST).
+    A set operand is written as its name: an inline literal's name is its
+    own text."""
 
     def sigma(sig: Sigma) -> str:
         if sig is None:
             return "{*}"
-        return "{" + ",".join(setref(n) for n in sig) + "}"
+        return "{" + ",".join(sig) + "}"
 
     def wrap(sub: Formula, limit: int) -> str:
         text = render(sub)
@@ -124,11 +120,8 @@ def print_formula(node: Formula, query: Query) -> str:
     def render(n: Formula) -> str:
         if type(n) in _ATOMS:
             keyword = _ATOMS[type(n)][0]
-            operands = [
-                setref(value) if kind == "setref" else value
-                for kind, value in _operands(n)
-            ]
-            return f"{keyword}({', '.join(operands)})" if operands else keyword
+            operands = ", ".join(n._values())
+            return f"{keyword}({operands})" if operands else keyword
         if isinstance(n, Not):
             return "!" + wrap(n.sub, 3)
         if isinstance(n, And):
@@ -155,9 +148,9 @@ def print_query(query: Query) -> str:
     lines = [
         f"set {name} = {{" + ", ".join(sorted(members)) + "}"
         for name, members in query.sets
-        if name not in query.implicit
+        if not name.startswith("{")
     ]
-    lines.append("formula: " + print_formula(query.formula, query))
+    lines.append("formula: " + print_formula(query.formula))
     return "\n".join(lines) + "\n"
 
 

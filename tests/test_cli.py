@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -351,11 +352,16 @@ def test_max_states_at_the_reachable_count(tmp_path, text):
 
 
 def test_check_literal_does_not_capture_declared_set(tmp_path):
+    """A literal takes no set name, declared or not."""
     fw = tmp_path / "ab.apa"
     fw.write_text("arguments: a b\ninitial: a b\n")
     q = tmp_path / "q.q"
     q.write_text("set _s0 = {a}\nformula: in(a, {b}) | in(a, _s0)\n")
     assert run(["check", str(fw), str(q)]) == (0, "true\n", "")
+    q.write_text("formula: in(b, {b}) & in(b, _s0)\n")
+    assert run(["check", str(fw), str(q)]) == (
+        1, "", "error: undeclared set '_s0' at line 1\n"
+    )
 
 
 def _src_env():
@@ -393,6 +399,37 @@ def test_closed_stdout_is_an_error(argv, elma_file, tmp_path):
         os.close(write)
     assert (proc.returncode, proc.stderr) \
         == (1, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["states", "FILE"], ["--help"]], ids=" ".join
+)
+def test_closed_fd_1_is_an_error(argv, elma_file):
+    """With fd 1 closed at start Python sets `sys.stdout` to None: `apa`
+    prints `error: ...` and exits 1, with no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "apa.cli",
+         *(elma_file if arg == "FILE" else arg for arg in argv)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_src_env(),
+        text=True, timeout=60, preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) \
+        == (1, "error: [Errno 9] Bad file descriptor\n")
+
+
+class _BrokenPipeSink:
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_broken_out_leaves_fd_1_alone(elma_file, capfd):
+    """A library call whose `out` breaks returns 1 and reports it on
+    `err`; the process's own stdout keeps working."""
+    err = io.StringIO()
+    assert main(["states", elma_file], out=_BrokenPipeSink(), err=err) == 1
+    assert err.getvalue() == "error: [Errno 32] Broken pipe\n"
+    os.write(1, b"still open\n")
+    assert capfd.readouterr().out == "still open\n"
 
 
 def test_cli_import_leaves_query_engine_unloaded():

@@ -80,10 +80,15 @@ def test_parse_until_and_wildcard():
 
 def test_parse_inline_set_literal():
     query = parse_query("formula: in(x, {x,y}) & exact({x}, {x,y})")
-    bindings = query.bindings()
-    names = sorted(query.implicit)
-    assert len(names) == 3
-    assert bindings[names[0]] == frozenset(["x", "y"])
+    assert query.bindings() == {
+        "{x,y}": frozenset(["x", "y"]), "{x}": frozenset(["x"])
+    }
+    assert query.formula == And(In("x", "{x,y}"), Exact("{x}", "{x,y}"))
+    # equal literals, however written, share one binding and one node
+    query = parse_query("formula: in(x, {y, x}) | in(x, {x,y,x})")
+    assert query.sets == (("{x,y}", frozenset(["x", "y"])),)
+    assert query.formula == Or(In("x", "{x,y}"), In("x", "{x,y}"))
+    assert len(ctl._subformulas(query.formula)) == 2
 
 
 def test_parse_implication_right_assoc():
@@ -205,6 +210,9 @@ def test_binary_chain_bound_admits_its_limit(op, column):
 def test_unknown_set_name():
     with pytest.raises(UnknownName):
         parse_query("formula: in(a, Missing)")
+    # a literal is bound under its own text, which no set name can reach
+    with pytest.raises(UnknownName, match=r"^undeclared set '_s0' at line 1$"):
+        parse_query("formula: in(b, {b}) & in(b, _s0)")
 
 
 def test_unknown_selector():
@@ -219,7 +227,7 @@ def test_selector_literals_parse():
     assert [bindings[n] for n in names] == [
         frozenset(["a2"]), frozenset(), frozenset(["a2"])
     ]
-    assert query.implicit == frozenset(names[:2])
+    assert names == ("{a2}", "{}", "S")
 
 
 def test_selector_literals_check(elma):
@@ -246,7 +254,7 @@ def test_inline_literal_skips_declared_names():
     query = parse_query(DECLARED_S0)
     bindings = query.bindings()
     assert bindings["_s0"] == {"a"}
-    assert [bindings[n] for n in query.implicit] == [{"b"}]
+    assert bindings["{b}"] == {"b"} and len(bindings) == 2
     fw = framework(["a", "b"], initial=["a", "b"])
     assert check(fw, query).value is True
 
@@ -270,15 +278,15 @@ CORPUS_QUERIES = (
 
 def parse_outcome(text):
     """What `parse_query` makes of `text`, whatever the hash seed: the
-    query's sets, implicit names and formula, or the error's class,
-    message, line and column. Any error but an `ApaError` propagates."""
+    query's sets and formula, or the error's class, message, line and
+    column. Any error but an `ApaError` propagates."""
     try:
         query = parse_query(text)
     except ApaError as exc:
         where = (getattr(exc, "line", None), getattr(exc, "column", None))
         return repr((type(exc).__name__, str(exc), where))
     sets = [(name, sorted(members)) for name, members in query.sets]
-    return repr((sets, sorted(query.implicit), query.formula))
+    return repr((sets, query.formula))
 
 
 def test_malformed_queries_keep_their_outcomes():
@@ -290,7 +298,7 @@ def test_malformed_queries_keep_their_outcomes():
     )
     digest = hashlib.sha256(outcomes.encode()).hexdigest()
     assert digest == (
-        "afbbf015eb8fdaf7cd4356db477bd7762261a400bfab1c65894df5bcafd308e2"
+        "29f30a97a92bc42edc21c2803c6c5ed0c8f862a9aedc80c9e0e72b250099cec5"
     )
 
 
@@ -311,10 +319,9 @@ def test_wide_formula_labels_in_budget():
 
 
 def test_wide_literal_query_prints_in_budget():
-    """The bindings are read once per print, not once per literal: a
-    balanced `&` of 4,000 atoms with distinct inline literals prints
-    within 0.4 s (about 0.03 s when linear, 0.8 s when quadratic) and
-    reparses to the same query."""
+    """Printing is linear in the literals: a balanced `&` of 4,000 atoms
+    with distinct inline literals prints within 0.4 s (about 0.03 s when
+    linear, 0.8 s when quadratic) and reparses to the same query."""
 
     def balanced(lo, hi):
         if hi - lo == 1:
@@ -323,7 +330,7 @@ def test_wide_literal_query_prints_in_budget():
         return f"({balanced(lo, mid)} & {balanced(mid, hi)})"
 
     query = parse_query(f"formula: {balanced(0, 4000)}")
-    assert len(query.implicit) == 4000
+    assert sum(name.startswith("{") for name, _ in query.sets) == 4000
     start = time.perf_counter()
     text = print_query(query)
     assert time.perf_counter() - start < 0.4
@@ -463,6 +470,11 @@ def test_unknown_literal_member_named_by_members(elma):
     )
     with pytest.raises(UnknownName, match="set 'S' mentions"):
         check(elma, parse_query("set S = {zz}\nformula: in(a2, S)"))
+    # declared sets are checked before literals, whatever their names
+    with pytest.raises(UnknownName, match="set 'b' mentions"):
+        check(elma, parse_query(
+            "set b = {zz}\nformula: in(a2, {yy}) & in(a2, b)"
+        ))
 
 
 def test_monotone_selector_families(oscillator):
@@ -910,7 +922,7 @@ def test_queries_survive_copy_and_pickle():
 def test_records_build_from_keywords():
     state = State(frozenset({"a"}))
     query = Query(sets=(("A", frozenset({"a"})),), formula=Top())
-    assert query.implicit == frozenset() and query.bindings() == {
+    assert query._fields == ("sets", "formula") and query.bindings() == {
         "A": frozenset({"a"})
     }
     lasso = Lasso(prefix=(), cycle=(state,))
